@@ -22,7 +22,9 @@
 #   obs          an instrumented table2 run at 1 and at 2 worker threads:
 #                the JSONL artifact must parse back through the event schema
 #                (obs_check), and the two must match byte for byte once
-#                `wall_ns` is zeroed, pinning the global-sink route;
+#                `wall_ns` is zeroed, pinning the global-sink route; the
+#                2-thread run's metrics snapshot must validate and hold
+#                the per-link queue histograms;
 #   robustness   a seeded fault-injection sweep whose artifact must carry
 #                fault-injection events;
 #   streaming    a migrating-DCL replay whose artifact must carry
@@ -33,7 +35,7 @@
 #                stdout must be the same at 1 and at 2 worker threads;
 #   trace        streaming and fleet `--obs` runs whose Chrome traces,
 #                rendered from the obs artifact by `explain --chrome`, and
-#                metrics time series must validate; the streaming obs
+#                metrics snapshot must validate; the streaming obs
 #                artifact must render through the explain bin, and the
 #                fleet trace rendered at 1 and at 2 worker threads must
 #                match byte for byte once `wall_ns` is zeroed;
@@ -119,8 +121,12 @@ job_obs() {
   # this is the one check of the installed-sink route (worker records
   # replayed in item order into the global sink) across thread counts.
   DCL_PARALLELISM=1 bin table2 40 --obs "$TMP/obs-1.jsonl"
-  DCL_PARALLELISM=2 bin table2 40 --obs "$TMP/obs.jsonl"
+  DCL_PARALLELISM=2 bin table2 40 --obs "$TMP/obs.jsonl" --metrics "$TMP/obs-metrics.json"
   bin obs_check "$TMP/obs.jsonl" 4
+  # Per-link queue facts live in the registry: the snapshot must carry
+  # a `netsim.link.*` histogram (an object, where a counter is a number).
+  bin obs_check --metrics "$TMP/obs-metrics.json"
+  grep -Eq '"netsim\.link\.[^"]+": \{' "$TMP/obs-metrics.json"
   for f in obs-1 obs; do
     sed 's/"wall_ns":[0-9]*/"wall_ns":0/g' "$TMP/$f.jsonl" > "$TMP/$f.canon.jsonl"
   done
@@ -158,13 +164,13 @@ job_fleet() {
 }
 
 job_trace() {
-  # Streaming: one verdict-provenance instant per window in the trace, an
-  # in-order probe-cadence time series, and an obs JSONL that validates
-  # and renders through the explain bin.
+  # Streaming: one verdict-provenance instant per window in the trace, a
+  # metrics snapshot and an obs JSONL that validate, and the obs JSONL
+  # renders through the explain bin.
   bin streaming --quick --obs "$TMP/trace-obs.jsonl" --metrics "$TMP/trace-stream-metrics.json"
   bin explain "$TMP/trace-obs.jsonl" --chrome "$TMP/trace-stream.json"
   bin obs_check --trace "$TMP/trace-stream.json" 2
-  bin obs_check --timeseries "$TMP/trace-stream-metrics.timeseries.jsonl"
+  bin obs_check --metrics "$TMP/trace-stream-metrics.json"
   bin obs_check "$TMP/trace-obs.jsonl" 4
   bin explain "$TMP/trace-obs.jsonl" > /dev/null
   # Fleet: provenance for every usable quick-grid path (a deterministic 84

@@ -2,11 +2,15 @@
 //!
 //! Reads an observability JSONL artifact (from any bench bin's `--obs`
 //! flag) and renders its `verdict-provenance` records as a
-//! human-readable timeline: one line per identification with the fitted
+//! human-readable timeline: one entry per identification with the fitted
 //! model, warm/cold start, EM effort, numerical-guard trips,
-//! log-likelihood, bin width, and the signed SDCL/WDCL test margins that
-//! decided the verdict — grouped by fleet path and ordered by streaming
-//! window where that context exists.
+//! log-likelihood, bin width, and each test's `d*` and signed SDCL/WDCL
+//! margin that decided the verdict — grouped by fleet path and ordered by
+//! streaming window where that context exists. The EM line counts the
+//! `em-restart` trajectories and their E-steps inside the
+//! identification's `identify` span, and flags a warm start that fell
+//! back to the cold schedule: no `*.em.warm` span ran, or the warm
+//! trajectory tripped a guard.
 //!
 //! With `--chrome <out.json>` it instead writes the run's Chrome trace
 //! (open with `chrome://tracing` or Perfetto): the causal span tree and
@@ -100,19 +104,42 @@ fn write_chrome(out: &str, events: Vec<(usize, Event)>) -> ExitCode {
     }
 }
 
+/// The EM work of one identification: the events between its `identify`
+/// span opening and its `verdict-provenance` record.
+#[derive(Debug, Default, Clone, Copy)]
+struct Effort {
+    /// `em-restart` events: finished EM trajectories, warm ones included.
+    trajectories: usize,
+    /// Their E-steps.
+    e_steps: usize,
+    /// Did a warm trajectory (`*.em.warm` span) run?
+    warm_ran: bool,
+    /// Did the warm trajectory trip a guard (`em-guard` attempt 0)?
+    warm_tripped: bool,
+}
+
 /// Print the `verdict-provenance` timeline, restricted to fleet path
 /// `only_path` when given.
 fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> ExitCode {
     // Group by fleet path (None = standalone run), keep artifact order
     // within a group.
-    let mut by_path: BTreeMap<Option<u64>, Vec<(usize, &Event)>> = BTreeMap::new();
+    let mut by_path: BTreeMap<Option<u64>, Vec<(usize, &Event, Effort)>> = BTreeMap::new();
     let mut records = 0usize;
+    let mut effort = Effort::default();
     for (line, ev) in events {
-        if let Event::VerdictProvenance { path, .. } = ev {
-            if only_path.is_none_or(|p| *path == Some(p)) {
-                by_path.entry(*path).or_default().push((*line, ev));
+        match ev {
+            Event::SpanOpen { name, .. } if name == "identify" => effort = Effort::default(),
+            Event::SpanOpen { name, .. } if name.ends_with(".em.warm") => effort.warm_ran = true,
+            Event::EmRestart { iterations, .. } => {
+                effort.trajectories += 1;
+                effort.e_steps += iterations;
+            }
+            Event::EmGuard { attempt: 0, .. } => effort.warm_tripped = true,
+            Event::VerdictProvenance { path, .. } if only_path.is_none_or(|p| *path == Some(p)) => {
+                by_path.entry(*path).or_default().push((*line, ev, effort));
                 records += 1;
             }
+            _ => {}
         }
     }
     if records == 0 {
@@ -133,7 +160,7 @@ fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> Exit
             Some(p) => println!("\npath {p}:"),
             None => println!("\nstandalone:"),
         }
-        for (line, ev) in rows {
+        for (line, ev, effort) in rows {
             let Event::VerdictProvenance {
                 verdict,
                 model,
@@ -146,8 +173,10 @@ fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> Exit
                 degraded,
                 sdcl_accepted,
                 sdcl_margin,
+                sdcl_d_star,
                 wdcl_accepted,
                 wdcl_margin,
+                wdcl_d_star,
                 num_probes,
                 loss_rate,
                 bin_width_us,
@@ -171,12 +200,30 @@ fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> Exit
                 if *converged { "" } else { " (no conv)" },
                 if *degraded { " [degraded]" } else { "" },
             );
+            let test = |accepted: bool, d_star: &Option<usize>, margin: f64| {
+                format!(
+                    "{} (d* {}, margin {margin:+.4})",
+                    if accepted { "accept" } else { "reject" },
+                    d_star.map_or("-".to_string(), |d| d.to_string()),
+                )
+            };
             println!(
-                "  {:<28} SDCL {} (margin {sdcl_margin:+.4})  WDCL {} (margin {wdcl_margin:+.4})  {num_probes} probes, {:.2}% lost, {bin_width_us} us bins",
+                "  {:<28} SDCL {}  WDCL {}  {num_probes} probes, {:.2}% lost, {bin_width_us} us bins",
                 "",
-                if *sdcl_accepted { "accept" } else { "reject" },
-                if *wdcl_accepted { "accept" } else { "reject" },
+                test(*sdcl_accepted, sdcl_d_star, *sdcl_margin),
+                test(*wdcl_accepted, wdcl_d_star, *wdcl_margin),
                 loss_rate * 100.0,
+            );
+            println!(
+                "  {:<28} EM: trajectories {}, E-steps {}{}",
+                "",
+                effort.trajectories,
+                effort.e_steps,
+                if *warm && (!effort.warm_ran || effort.warm_tripped) {
+                    "; the warm seed fell back to the cold schedule"
+                } else {
+                    ""
+                },
             );
         }
     }

@@ -39,10 +39,7 @@ fn main() {
     // ~3x lossier than the 2010 USevilla path, so the reliability
     // transition happens earlier.
     let durations_min = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0];
-    let header: Vec<String> = durations_min
-        .iter()
-        .map(|d| format!("{d:.0} min"))
-        .collect();
+    let header: Vec<String> = durations_min.iter().map(|d| format!("{d} min")).collect();
     print_row("duration", &header);
 
     for (label, floor) in [("unknown Dprop", None), ("known Dprop", Some(known_floor))] {
@@ -67,10 +64,21 @@ fn main() {
                 }
             );
         }
-        let ratios: Vec<f64> = result.points.iter().map(|p| p.match_ratio).collect();
+        // The sweep skips durations not shorter than the trace.
+        let ratios: Vec<Option<f64>> = sweep_cfg
+            .durations_secs
+            .iter()
+            .map(|&d| {
+                let point = result.points.iter().find(|p| p.duration_secs == d);
+                point.map(|p| p.match_ratio)
+            })
+            .collect();
         print_row(
             label,
-            &ratios.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>(),
+            &ratios
+                .iter()
+                .map(|r| r.map_or_else(|| "-".to_string(), |r| format!("{r:.2}")))
+                .collect::<Vec<_>>(),
         );
         log.record(&json!({
             "series": label,

@@ -12,9 +12,6 @@
 //!   artifact from `explain --chrome`: structurally valid span tree (unique nonzero
 //!   ids, children nested inside parents, at least one root) carrying at
 //!   least `min_provenance` `verdict-provenance` instants.
-//! * `obs_check --timeseries <path>` — a metrics time-series JSONL from
-//!   [`dcl_metrics::MetricsSampler`]: in-order `seq`, non-decreasing
-//!   `unit`, every `delta` a valid snapshot.
 //! * `obs_check --metrics <path>` — a `--metrics` snapshot: must parse as
 //!   [`dcl_metrics::Snapshot`] at the current schema version, with every
 //!   histogram internally consistent (bucket sums equal counts, maxima
@@ -28,10 +25,10 @@
 //!
 //! Run: `cargo run -p dcl-bench --bin obs_check -- <path> [min_kinds]`
 //!
-//! The JSONL/trace/time-series validators live in [`dcl_bench::check`]
-//! so their failure modes are pinned by unit tests.
+//! The JSONL, trace, metrics and checkpoint validators live in
+//! [`dcl_bench::check`] so their failure modes are pinned by unit tests.
 
-use dcl_bench::check::{validate_checkpoint, validate_obs, validate_timeseries, validate_trace};
+use dcl_bench::check::{validate_checkpoint, validate_metrics, validate_obs, validate_trace};
 use serde_json::Value;
 use std::process::ExitCode;
 
@@ -50,7 +47,6 @@ fn main() -> ExitCode {
     match kind {
         "obs" => check_with(path, |text| validate_obs(text, min(1))),
         "trace" => check_with(path, |text| validate_trace(text, min(0))),
-        "timeseries" => check_with(path, validate_timeseries),
         "metrics" => check_with(path, validate_metrics),
         "perf" => check_with(path, validate_perf),
         "checkpoint" => check_with(path, validate_checkpoint),
@@ -61,7 +57,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: obs_check <path> [min_kinds] | --trace <path> [min_provenance] | \
-         --timeseries <path> | --metrics <path> | --perf <path> | --checkpoint <path>"
+         --metrics <path> | --perf <path> | --checkpoint <path>"
     );
     ExitCode::from(2)
 }
@@ -85,76 +81,6 @@ fn check_with(path: &str, validate: impl FnOnce(&str) -> Result<String, String>)
             ExitCode::FAILURE
         }
     }
-}
-
-/// Validate a `Log2Hist`'s internal consistency.
-fn hist_errors(name: &str, kind: &str, h: &dcl_metrics::Log2Hist, errors: &mut Vec<String>) {
-    let bucket_sum: u64 = h.buckets.iter().sum();
-    if bucket_sum != h.count {
-        errors.push(format!(
-            "{kind} {name:?}: bucket sum {bucket_sum} != count {}",
-            h.count
-        ));
-    }
-    if h.count == 0 && (h.sum != 0 || h.max != 0) {
-        errors.push(format!(
-            "{kind} {name:?}: empty histogram with nonzero sum/max"
-        ));
-    }
-    if h.count > 0 && h.max > h.sum {
-        errors.push(format!(
-            "{kind} {name:?}: max {} exceeds sum {}",
-            h.max, h.sum
-        ));
-    }
-}
-
-/// Validate a `--metrics` snapshot artifact.
-fn validate_metrics(text: &str) -> Result<String, String> {
-    let snap: dcl_metrics::Snapshot =
-        serde_json::from_str(text).map_err(|e| format!("not a metrics snapshot: {e}"))?;
-    let mut errors = Vec::new();
-    if snap.schema_version != dcl_metrics::SCHEMA_VERSION {
-        errors.push(format!(
-            "schema_version {} != expected {}",
-            snap.schema_version,
-            dcl_metrics::SCHEMA_VERSION
-        ));
-    }
-    for (name, h) in &snap.histograms {
-        hist_errors(name, "histogram", h, &mut errors);
-    }
-    for (name, p) in &snap.spans {
-        if p.count == 0 {
-            errors.push(format!("span {name:?}: zero-count profile"));
-        }
-        if p.max_ns > p.total_ns {
-            errors.push(format!(
-                "span {name:?}: max {} ns exceeds total {} ns",
-                p.max_ns, p.total_ns
-            ));
-        }
-        if p.p50_ns > p.p95_ns {
-            errors.push(format!(
-                "span {name:?}: p50 {} ns exceeds p95 {} ns",
-                p.p50_ns, p.p95_ns
-            ));
-        }
-        if p.p95_ns > p.max_ns {
-            errors.push(format!(
-                "span {name:?}: p95 {} ns exceeds max {} ns",
-                p.p95_ns, p.max_ns
-            ));
-        }
-    }
-    joined(errors)?;
-    Ok(format!(
-        "metrics snapshot ok ({} counters, {} gauges, {} histograms, {} spans)",
-        snap.counters.len(),
-        snap.gauges.len(),
-        snap.histograms.len(),
-        snap.spans.len()
-    ))
 }
 
 /// Required finite, non-negative numeric keys of a perf report.

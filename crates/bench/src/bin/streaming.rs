@@ -10,12 +10,10 @@
 //! (appeared / moved / cleared) are reported — the change signal a
 //! long-running monitor alarms on.
 //!
-//! With `--metrics <path>` the run additionally drives a
-//! [`dcl_metrics::MetricsSampler`] every window-hop worth of ingested
-//! probes, emitting the registry's per-interval deltas to the path with
-//! its extension replaced by `.timeseries.jsonl` — counters *over stream
-//! time*, on a deterministic probe-count cadence. The run's Chrome trace
-//! is rendered from its `--obs` artifact by `explain --chrome`.
+//! With `--obs <path>` each window's verdict provenance, EM restarts and
+//! spans go to the event artifact, which `explain` renders per window
+//! and `explain --chrome` as a Chrome trace; `--metrics <path>` writes
+//! the end-of-run registry snapshot.
 //!
 //! With `--checkpoint <path>` the run ingests only the first half of the
 //! trace, snapshots the engine as JSON, and exits (no tail flush); a
@@ -78,22 +76,6 @@ fn main() {
     );
 
     let trace = migrating_trace(SEED, phase_secs);
-    // With `--metrics`, sample the registry every hop's worth of ingested
-    // probes — a logical cadence, so the time series is bitwise
-    // reproducible run to run.
-    let mut sampler = cli.metrics_path().map(|p| {
-        let ts_path = p.with_extension("timeseries.jsonl");
-        match dcl_metrics::MetricsSampler::create(&ts_path, hop as u64) {
-            Ok(s) => (s, ts_path),
-            Err(e) => {
-                eprintln!(
-                    "cannot create timeseries artifact {}: {e}",
-                    ts_path.display()
-                );
-                std::process::exit(2);
-            }
-        }
-    });
     let mut engine = cli
         .restore(|ck: StreamingCheckpoint| StreamingIdentifier::restore(cfg, ck))
         .unwrap_or_else(|| StreamingIdentifier::new(cfg, trace.base_delay, trace.interval));
@@ -112,23 +94,10 @@ fn main() {
     let mut updates = Vec::new();
     for record in &trace.records[start..end] {
         updates.extend(engine.push(record.clone()));
-        if let Some((s, _)) = &mut sampler {
-            s.tick(engine.ingested() as u64);
-        }
     }
     cli.write_checkpoint(|| engine.checkpoint());
     if end == trace.records.len() {
         updates.extend(engine.flush());
-    }
-    if let Some((s, ts_path)) = &mut sampler {
-        if let Err(e) = s.finish(engine.ingested() as u64) {
-            eprintln!(
-                "cannot write timeseries artifact {}: {e}",
-                ts_path.display()
-            );
-            std::process::exit(1);
-        }
-        eprintln!("timeseries artifact: {}", ts_path.display());
     }
 
     let mut dominant = 0usize;

@@ -10,7 +10,6 @@
 use std::collections::BTreeSet;
 
 use dcl_metrics::obs::Event;
-use dcl_metrics::NUM_BUCKETS;
 use serde_json::Value;
 
 /// Validate an observability JSONL artifact.
@@ -19,9 +18,7 @@ use serde_json::Value;
 /// kind is in [`Event::KNOWN_KINDS`] must deserialise and
 /// round-trip through the schema; unknown kinds are tolerated and
 /// counted (forward compatibility: an old `obs_check` must not reject a
-/// newer producer). A `queue-stats` event's histograms must have the
-/// registry's [`NUM_BUCKETS`] buckets. The
-/// artifact fails if it contains *zero known*
+/// newer producer). The artifact fails if it contains *zero known*
 /// events — whether because it is empty or because every line is an
 /// unknown kind — or fewer than `min_kinds` distinct known kinds.
 pub fn validate_obs(text: &str, min_kinds: usize) -> Result<String, String> {
@@ -52,25 +49,6 @@ pub fn validate_obs(text: &str, min_kinds: usize) -> Result<String, String> {
             .expect("round-trip");
         if back != ev {
             return Err(format!("line {}: event does not round-trip", i + 1));
-        }
-        if let Event::QueueStats {
-            occupancy_hist,
-            backlog_hist_ms,
-            ..
-        } = &ev
-        {
-            for (field, hist) in [
-                ("occupancy_hist", occupancy_hist),
-                ("backlog_hist_ms", backlog_hist_ms),
-            ] {
-                if hist.len() != NUM_BUCKETS {
-                    return Err(format!(
-                        "line {}: queue-stats {field} has {} buckets, expected {NUM_BUCKETS}",
-                        i + 1,
-                        hist.len()
-                    ));
-                }
-            }
         }
         kinds.insert(ev.kind());
         events += 1;
@@ -142,61 +120,74 @@ pub fn validate_trace(text: &str, min_provenance: usize) -> Result<String, Strin
     ))
 }
 
-/// Validate a metrics time-series JSONL artifact (see
-/// [`dcl_metrics::MetricsSampler`]): every line is
-/// `{"seq":N,"unit":U,"delta":{...}}` with `seq` counting from zero in
-/// order, `unit` non-decreasing, and each `delta` a parseable
-/// [`dcl_metrics::Snapshot`] at the current schema version.
-pub fn validate_timeseries(text: &str) -> Result<String, String> {
-    let mut samples = 0usize;
-    let mut last_unit = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value: Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: not JSON: {e}", i + 1))?;
-        let seq = value
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {}: missing `seq`", i + 1))?;
-        if seq != samples as u64 {
-            return Err(format!(
-                "line {}: seq {seq}, expected {samples} (samples must be in order)",
-                i + 1
-            ));
-        }
-        let unit = value
-            .get("unit")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {}: missing `unit`", i + 1))?;
-        if samples > 0 && unit < last_unit {
-            return Err(format!(
-                "line {}: unit {unit} goes backwards (previous {last_unit})",
-                i + 1
-            ));
-        }
-        last_unit = unit;
-        let delta = value
-            .get("delta")
-            .ok_or_else(|| format!("line {}: missing `delta`", i + 1))?;
-        let snap: dcl_metrics::Snapshot = serde_json::from_str(&delta.to_string())
-            .map_err(|e| format!("line {}: delta is not a metrics snapshot: {e}", i + 1))?;
-        if snap.schema_version != dcl_metrics::SCHEMA_VERSION {
-            return Err(format!(
-                "line {}: delta schema_version {} != expected {}",
-                i + 1,
-                snap.schema_version,
-                dcl_metrics::SCHEMA_VERSION
-            ));
-        }
-        samples += 1;
+/// Validate a `--metrics` snapshot artifact: a [`dcl_metrics::Snapshot`]
+/// at the current schema version whose histograms are internally
+/// consistent (bucket sums equal counts, an empty histogram has no sum or
+/// maximum, a maximum never exceeds the sum) and whose span profiles are
+/// non-empty with `p50 ≤ p95 ≤ max ≤ total`.
+pub fn validate_metrics(text: &str) -> Result<String, String> {
+    let snap: dcl_metrics::Snapshot =
+        serde_json::from_str(text).map_err(|e| format!("not a metrics snapshot: {e}"))?;
+    let mut errors = Vec::new();
+    if snap.schema_version != dcl_metrics::SCHEMA_VERSION {
+        errors.push(format!(
+            "schema_version {} != expected {}",
+            snap.schema_version,
+            dcl_metrics::SCHEMA_VERSION
+        ));
     }
-    if samples == 0 {
-        return Err("contains no samples".to_owned());
+    for (name, h) in &snap.histograms {
+        let bucket_sum: u64 = h.buckets.iter().sum();
+        if bucket_sum != h.count {
+            errors.push(format!(
+                "histogram {name:?}: bucket sum {bucket_sum} != count {}",
+                h.count
+            ));
+        }
+        if h.count == 0 && (h.sum != 0 || h.max != 0) {
+            errors.push(format!(
+                "histogram {name:?}: empty histogram with nonzero sum/max"
+            ));
+        }
+        if h.count > 0 && h.max > h.sum {
+            errors.push(format!(
+                "histogram {name:?}: max {} exceeds sum {}",
+                h.max, h.sum
+            ));
+        }
+    }
+    for (name, p) in &snap.spans {
+        if p.count == 0 {
+            errors.push(format!("span {name:?}: zero-count profile"));
+        }
+        if p.max_ns > p.total_ns {
+            errors.push(format!(
+                "span {name:?}: max {} ns exceeds total {} ns",
+                p.max_ns, p.total_ns
+            ));
+        }
+        if p.p50_ns > p.p95_ns {
+            errors.push(format!(
+                "span {name:?}: p50 {} ns exceeds p95 {} ns",
+                p.p50_ns, p.p95_ns
+            ));
+        }
+        if p.p95_ns > p.max_ns {
+            errors.push(format!(
+                "span {name:?}: p95 {} ns exceeds max {} ns",
+                p.p95_ns, p.max_ns
+            ));
+        }
+    }
+    if !errors.is_empty() {
+        return Err(errors.join("; "));
     }
     Ok(format!(
-        "time series ok ({samples} samples, last unit {last_unit})"
+        "metrics snapshot ok ({} counters, {} gauges, {} histograms, {} spans)",
+        snap.counters.len(),
+        snap.gauges.len(),
+        snap.histograms.len(),
+        snap.spans.len()
     ))
 }
 
@@ -321,25 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_stats_histograms_must_have_the_registry_bucket_count() {
-        let stats = |buckets: usize| Event::QueueStats {
-            link: "l1".into(),
-            arrivals: 3,
-            drops_overflow: 0,
-            drops_red: 0,
-            probe_arrivals: 1,
-            probe_drops: 0,
-            max_backlog_us: 40,
-            occupancy_hist: vec![0; buckets],
-            backlog_hist_ms: vec![0; NUM_BUCKETS],
-        };
-        assert!(validate_obs(&line(&stats(NUM_BUCKETS)), 1).is_ok());
-        // The pre-widening 16-bucket shape is refused.
-        let err = validate_obs(&line(&stats(16)), 1).unwrap_err();
-        assert!(err.contains("occupancy_hist has 16 buckets"), "{err}");
-    }
-
-    #[test]
     fn min_kinds_counts_only_known_kinds() {
         let text = format!(
             "{}\n{{\"kind\":\"novel-a\"}}\n{{\"kind\":\"novel-b\"}}\n",
@@ -380,6 +352,57 @@ mod tests {
     }
 
     #[test]
+    fn metrics_validator_checks_histogram_consistency() {
+        let ((), captured) = dcl_metrics::capture(|| {
+            let mut depth = dcl_metrics::Log2Hist::default();
+            [0, 1, 5].into_iter().for_each(|v| depth.observe(v));
+            dcl_metrics::histogram_with(|| ("netsim.link.hop1.occupancy".into(), depth));
+        });
+        let good = serde_json::to_string_pretty(&captured.metrics.snapshot()).unwrap();
+        let summary = validate_metrics(&good).unwrap();
+        assert!(summary.contains("1 histograms"), "{summary}");
+
+        // A lost bucket no longer sums to the count.
+        let mut snap = captured.metrics.snapshot();
+        snap.histograms
+            .get_mut("netsim.link.hop1.occupancy")
+            .unwrap()
+            .buckets[0] = 0;
+        let err = validate_metrics(&serde_json::to_string(&snap).unwrap()).unwrap_err();
+        assert!(err.contains("bucket sum 2 != count 3"), "{err}");
+        snap.schema_version += 1;
+        let err = validate_metrics(&serde_json::to_string(&snap).unwrap()).unwrap_err();
+        assert!(err.contains("schema_version"), "{err}");
+        assert!(validate_metrics("{}").is_err());
+    }
+
+    #[test]
+    fn queue_stats_histograms_must_have_the_registry_bucket_count() {
+        // A link's queue statistics are registry histograms; a snapshot
+        // whose histogram has the pre-widening 16 buckets is refused.
+        let ((), captured) = dcl_metrics::capture(|| {
+            let mut depth = dcl_metrics::Log2Hist::default();
+            depth.observe(3);
+            dcl_metrics::histogram_with(|| ("netsim.link.hop1.occupancy".into(), depth));
+        });
+        let good = serde_json::to_string(&captured.metrics.snapshot()).unwrap();
+        assert!(validate_metrics(&good).is_ok());
+
+        let start = good.find("\"buckets\":[").unwrap() + "\"buckets\":[".len();
+        let end = start + good[start..].find(']').unwrap();
+        let buckets: Vec<&str> = good[start..end].split(',').collect();
+        assert_eq!(buckets.len(), dcl_metrics::NUM_BUCKETS);
+        let narrow = format!(
+            "{}{}{}",
+            &good[..start],
+            buckets[..16].join(","),
+            &good[end..]
+        );
+        let err = validate_metrics(&narrow).unwrap_err();
+        assert!(err.contains("not a metrics snapshot"), "{err}");
+    }
+
+    #[test]
     fn checkpoint_validator_accepts_both_shapes_and_pins_versions() {
         use dcl_core::{StreamConfig, StreamingIdentifier};
         use dcl_netsim::time::Dur;
@@ -415,32 +438,5 @@ mod tests {
             .contains("version"));
         assert!(validate_checkpoint("{}").is_err());
         assert!(validate_checkpoint("not json").is_err());
-    }
-
-    #[test]
-    fn timeseries_validator_checks_order_and_schema() {
-        let delta = serde_json::to_string(&dcl_metrics::Snapshot {
-            schema_version: dcl_metrics::SCHEMA_VERSION,
-            ..Default::default()
-        })
-        .unwrap();
-        let good = format!(
-            "{{\"seq\":0,\"unit\":100,\"delta\":{delta}}}\n{{\"seq\":1,\"unit\":250,\"delta\":{delta}}}\n"
-        );
-        let summary = validate_timeseries(&good).unwrap();
-        assert!(summary.contains("2 samples"), "{summary}");
-
-        assert!(validate_timeseries("").unwrap_err().contains("no samples"));
-        let out_of_order = format!("{{\"seq\":1,\"unit\":100,\"delta\":{delta}}}\n");
-        assert!(validate_timeseries(&out_of_order)
-            .unwrap_err()
-            .contains("expected 0"));
-        let backwards = format!(
-            "{{\"seq\":0,\"unit\":100,\"delta\":{delta}}}\n{{\"seq\":1,\"unit\":50,\"delta\":{delta}}}\n"
-        );
-        assert!(validate_timeseries(&backwards)
-            .unwrap_err()
-            .contains("backwards"));
-        assert!(validate_timeseries("{\"seq\":0,\"unit\":1,\"delta\":{}}\n").is_err());
     }
 }

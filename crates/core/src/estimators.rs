@@ -458,6 +458,49 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_has_one_complete_record() {
+        use dcl_metrics::obs::Event;
+        let t = synthetic_trace(1000, false);
+        let cfg = IdentifyConfig {
+            estimate_bound: false,
+            restarts: 2,
+            ..IdentifyConfig::default()
+        };
+        let (report, captured) = dcl_metrics::capture(|| crate::identify(&t, &cfg).unwrap());
+        let records: Vec<&Event> = captured
+            .events
+            .iter()
+            .filter(|e| e.kind() == "verdict-provenance")
+            .collect();
+        let [Event::VerdictProvenance {
+            sdcl_accepted,
+            sdcl_margin,
+            sdcl_d_star,
+            wdcl_accepted,
+            wdcl_margin,
+            wdcl_d_star,
+            ..
+        }] = records[..]
+        else {
+            panic!("one verdict-provenance per identify: {records:?}");
+        };
+        let outcome = |t: crate::TestOutcome| (t.accepted, t.d_star, t.f_at_2d_star - t.threshold);
+        assert_eq!(
+            (*sdcl_accepted, *sdcl_d_star, *sdcl_margin),
+            outcome(report.sdcl)
+        );
+        assert_eq!(
+            (*wdcl_accepted, *wdcl_d_star, *wdcl_margin),
+            outcome(report.wdcl)
+        );
+        assert!(report.sdcl.d_star.is_some() && report.wdcl.d_star.is_some());
+
+        let (verdict, captured) = dcl_metrics::capture(|| ground_truth_verdict(&t, &cfg));
+        assert_eq!(verdict, Some(Verdict::StronglyDominant));
+        assert_eq!(captured.events, []);
+    }
+
+    #[test]
     fn model_estimators_put_loss_mass_on_high_symbols() {
         let t = synthetic_trace(2000, false);
         let disc = Discretizer::from_trace(&t, 5, None).unwrap();

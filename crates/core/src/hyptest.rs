@@ -71,7 +71,7 @@ impl WdclParams {
 /// `numeric_floor` absorbs estimation dust (see module docs); pass `0.0`
 /// for exact arithmetic on analytic distributions.
 pub fn wdcl_test(cdf: &Cdf, params: WdclParams, numeric_floor: f64) -> TestOutcome {
-    run_test(cdf, params, numeric_floor, "wdcl")
+    run_test(cdf, params, numeric_floor)
 }
 
 /// Run the SDCL-Test: the WDCL-Test at `ε₁ = ε₂ = 0`.
@@ -83,14 +83,12 @@ pub fn sdcl_test(cdf: &Cdf, numeric_floor: f64) -> TestOutcome {
             eps2: 0.0,
         },
         numeric_floor,
-        "sdcl",
     )
 }
 
-/// The shared test body. `label` names the calling test in the
-/// `test-decision` observability event so traces distinguish SDCL from
-/// WDCL decisions.
-fn run_test(cdf: &Cdf, params: WdclParams, numeric_floor: f64, label: &str) -> TestOutcome {
+/// The shared test body. It records nothing: an identification's
+/// decisions reach the event stream once, in its `verdict-provenance`.
+fn run_test(cdf: &Cdf, params: WdclParams, numeric_floor: f64) -> TestOutcome {
     assert!(
         (0.0..1.0).contains(&params.eps1) && (0.0..1.0).contains(&params.eps2),
         "epsilon parameters must be in [0, 1)"
@@ -98,7 +96,7 @@ fn run_test(cdf: &Cdf, params: WdclParams, numeric_floor: f64, label: &str) -> T
     assert!(params.eps1 + params.eps2 < 1.0, "degenerate test");
     let support_threshold = params.eps1.max(numeric_floor);
     let threshold = 1.0 - params.eps1 - params.eps2 - numeric_floor;
-    let outcome = match cdf.min_support_above(support_threshold) {
+    match cdf.min_support_above(support_threshold) {
         Some(d_star) => {
             let f = cdf.value(2 * d_star);
             TestOutcome {
@@ -114,15 +112,7 @@ fn run_test(cdf: &Cdf, params: WdclParams, numeric_floor: f64, label: &str) -> T
             f_at_2d_star: 0.0,
             threshold,
         },
-    };
-    dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::TestDecision {
-        test: label.to_string(),
-        d_star: outcome.d_star,
-        f_at_2d_star: outcome.f_at_2d_star,
-        threshold: outcome.threshold,
-        accepted: outcome.accepted,
-    });
-    outcome
+    }
 }
 
 #[cfg(test)]

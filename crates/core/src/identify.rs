@@ -587,8 +587,10 @@ fn finish_identification(
         degraded: provenance.degraded,
         sdcl_accepted: sdcl.accepted,
         sdcl_margin: provenance.sdcl_margin,
+        sdcl_d_star: sdcl.d_star,
         wdcl_accepted: wdcl.accepted,
         wdcl_margin: provenance.wdcl_margin,
+        wdcl_d_star: wdcl.d_star,
         num_probes: trace.len(),
         loss_rate: trace.loss_rate(),
         bin_width_us: disc.bin_width().as_nanos() / 1_000,

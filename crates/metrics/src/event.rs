@@ -85,48 +85,6 @@ pub enum Event {
         affected: u64,
     },
 
-    /// End-of-run counters and histograms of one simulated link. Kind
-    /// tag: `queue-stats`.
-    QueueStats {
-        /// Link name from its configuration.
-        link: String,
-        /// Packets offered to the queue.
-        arrivals: u64,
-        /// Droptail (buffer overflow) drops.
-        drops_overflow: u64,
-        /// RED drops.
-        drops_red: u64,
-        /// Probe packets offered.
-        probe_arrivals: u64,
-        /// Probe packets dropped.
-        probe_drops: u64,
-        /// Maximum backlog (queuing) delay any arrival observed, in
-        /// microseconds of *simulated* time (deterministic).
-        max_backlog_us: u64,
-        /// Queue occupancy (packets) at arrival, log2-bucketed: bucket 0
-        /// is an empty queue, bucket `b` counts occupancies in
-        /// `[2^(b-1), 2^b)`.
-        occupancy_hist: Vec<u64>,
-        /// Backlog delay at arrival in whole milliseconds, log2-bucketed
-        /// the same way.
-        backlog_hist_ms: Vec<u64>,
-    },
-
-    /// One SDCL/WDCL hypothesis-test decision. Kind tag: `test-decision`.
-    TestDecision {
-        /// "sdcl" or "wdcl".
-        test: String,
-        /// The support point `d*`, if the CDF has mass above the
-        /// threshold.
-        d_star: Option<usize>,
-        /// `F(2 d*)`.
-        f_at_2d_star: f64,
-        /// Acceptance threshold (after the numeric floor).
-        threshold: f64,
-        /// The verdict.
-        accepted: bool,
-    },
-
     /// One streaming window's verdict relative to the previous usable
     /// window: the dominant congested link appeared, moved to a
     /// different delay regime, cleared, or persisted. Kind tag:
@@ -183,10 +141,18 @@ pub enum Event {
         sdcl_accepted: bool,
         /// Signed SDCL margin `F(2d*) − threshold` (negative = losing).
         sdcl_margin: f64,
+        /// The SDCL test's support point `d*`, if the CDF has mass above
+        /// the numeric floor. `F(2d*)` is the margin plus the threshold
+        /// `1 − floor`.
+        sdcl_d_star: Option<usize>,
         /// Did the WDCL test accept?
         wdcl_accepted: bool,
         /// Signed WDCL margin `F(2d*) − threshold` (negative = losing).
         wdcl_margin: f64,
+        /// The WDCL test's support point `d*`, if the CDF has mass above
+        /// `max(ε₁, floor)`. `F(2d*)` is the margin plus the threshold
+        /// `1 − ε₁ − ε₂ − floor`.
+        wdcl_d_star: Option<usize>,
         /// Probes in the identified trace/window.
         num_probes: usize,
         /// Probe loss rate in the identified trace/window.
@@ -263,8 +229,6 @@ impl Event {
         "em-restart",
         "em-guard",
         "fault-injection",
-        "queue-stats",
-        "test-decision",
         "verdict-transition",
         "verdict-provenance",
         "path-health-transition",
@@ -279,8 +243,6 @@ impl Event {
             Event::EmRestart { .. } => "em-restart",
             Event::EmGuard { .. } => "em-guard",
             Event::FaultInjection { .. } => "fault-injection",
-            Event::QueueStats { .. } => "queue-stats",
-            Event::TestDecision { .. } => "test-decision",
             Event::VerdictTransition { .. } => "verdict-transition",
             Event::VerdictProvenance { .. } => "verdict-provenance",
             Event::PathHealthTransition { .. } => "path-health-transition",
@@ -315,11 +277,6 @@ impl Event {
                 ..
             } => log_likelihood.is_finite() && max_param_delta.is_finite(),
             Event::EmRestart { log_likelihood, .. } => log_likelihood.is_finite(),
-            Event::TestDecision {
-                f_at_2d_star,
-                threshold,
-                ..
-            } => f_at_2d_star.is_finite() && threshold.is_finite(),
             Event::VerdictTransition { loss_rate, .. } => loss_rate.is_finite(),
             Event::VerdictProvenance {
                 log_likelihood,
@@ -335,7 +292,6 @@ impl Event {
             }
             Event::EmGuard { .. }
             | Event::FaultInjection { .. }
-            | Event::QueueStats { .. }
             | Event::PathHealthTransition { .. }
             | Event::SpanOpen { .. }
             | Event::SpanClose { .. } => true,
@@ -375,31 +331,6 @@ mod tests {
                 seed: 0xFA17,
                 affected: 42,
             },
-            Event::QueueStats {
-                link: "hop1".into(),
-                arrivals: 100,
-                drops_overflow: 3,
-                drops_red: 0,
-                probe_arrivals: 10,
-                probe_drops: 1,
-                max_backlog_us: 160_000,
-                occupancy_hist: vec![1, 2, 3],
-                backlog_hist_ms: vec![4, 5, 6],
-            },
-            Event::TestDecision {
-                test: "wdcl".into(),
-                d_star: Some(4),
-                f_at_2d_star: 0.96875,
-                threshold: 0.9375,
-                accepted: true,
-            },
-            Event::TestDecision {
-                test: "sdcl".into(),
-                d_star: None,
-                f_at_2d_star: 0.0,
-                threshold: 1.0,
-                accepted: false,
-            },
             Event::VerdictTransition {
                 transition: "dcl-moved".into(),
                 window: 7,
@@ -421,8 +352,10 @@ mod tests {
                 degraded: false,
                 sdcl_accepted: true,
                 sdcl_margin: 0.03125,
+                sdcl_d_star: Some(4),
                 wdcl_accepted: true,
                 wdcl_margin: 0.0625,
+                wdcl_d_star: Some(4),
                 num_probes: 1500,
                 loss_rate: 0.015625,
                 bin_width_us: 32_000,
@@ -443,8 +376,10 @@ mod tests {
                 degraded: true,
                 sdcl_accepted: false,
                 sdcl_margin: -0.25,
+                sdcl_d_star: None,
                 wdcl_accepted: false,
                 wdcl_margin: -0.125,
+                wdcl_d_star: Some(2),
                 num_probes: 800,
                 loss_rate: 0.00390625,
                 bin_width_us: 4_000,
@@ -488,12 +423,9 @@ mod tests {
 {"kind":"em-restart","model":"mmhd","restart":0,"iterations":60,"converged":true,"reason":"tol","log_likelihood":-10.25}
 {"kind":"em-guard","model":"hmm","restart":3,"attempt":1,"reason":"likelihood-decrease"}
 {"kind":"fault-injection","fault":"gilbert-elliott","seed":64023,"affected":42}
-{"kind":"queue-stats","link":"hop1","arrivals":100,"drops_overflow":3,"drops_red":0,"probe_arrivals":10,"probe_drops":1,"max_backlog_us":160000,"occupancy_hist":[1,2,3],"backlog_hist_ms":[4,5,6]}
-{"kind":"test-decision","test":"wdcl","d_star":4,"f_at_2d_star":0.96875,"threshold":0.9375,"accepted":true}
-{"kind":"test-decision","test":"sdcl","d_star":null,"f_at_2d_star":0,"threshold":1,"accepted":false}
 {"kind":"verdict-transition","transition":"dcl-moved","window":7,"verdict":"strongly-dominant","prev_verdict":"weakly-dominant","mode":4,"num_probes":3000,"loss_rate":0.03125}
-{"kind":"verdict-provenance","verdict":"strongly-dominant","model":"mmhd","warm":true,"restarts":6,"iterations":42,"converged":true,"guard_trips":1,"log_likelihood":-987.25,"degraded":false,"sdcl_accepted":true,"sdcl_margin":0.03125,"wdcl_accepted":true,"wdcl_margin":0.0625,"num_probes":1500,"loss_rate":0.015625,"bin_width_us":32000,"path":17,"window":3,"first_seq":4500,"last_seq":5999}
-{"kind":"verdict-provenance","verdict":"no-dominant","model":"hmm","warm":false,"restarts":2,"iterations":200,"converged":false,"guard_trips":0,"log_likelihood":-12.5,"degraded":true,"sdcl_accepted":false,"sdcl_margin":-0.25,"wdcl_accepted":false,"wdcl_margin":-0.125,"num_probes":800,"loss_rate":0.00390625,"bin_width_us":4000,"path":null,"window":null,"first_seq":null,"last_seq":null}
+{"kind":"verdict-provenance","verdict":"strongly-dominant","model":"mmhd","warm":true,"restarts":6,"iterations":42,"converged":true,"guard_trips":1,"log_likelihood":-987.25,"degraded":false,"sdcl_accepted":true,"sdcl_margin":0.03125,"sdcl_d_star":4,"wdcl_accepted":true,"wdcl_margin":0.0625,"wdcl_d_star":4,"num_probes":1500,"loss_rate":0.015625,"bin_width_us":32000,"path":17,"window":3,"first_seq":4500,"last_seq":5999}
+{"kind":"verdict-provenance","verdict":"no-dominant","model":"hmm","warm":false,"restarts":2,"iterations":200,"converged":false,"guard_trips":0,"log_likelihood":-12.5,"degraded":true,"sdcl_accepted":false,"sdcl_margin":-0.25,"sdcl_d_star":null,"wdcl_accepted":false,"wdcl_margin":-0.125,"wdcl_d_star":2,"num_probes":800,"loss_rate":0.00390625,"bin_width_us":4000,"path":null,"window":null,"first_seq":null,"last_seq":null}
 {"kind":"path-health-transition","path":9,"window":12,"from":"degraded","to":"quarantined","reason":"errors","backoff_hops":4}
 {"kind":"path-health-transition","path":null,"window":16,"from":"quarantined","to":"probation","reason":"backoff-elapsed","backoff_hops":0}
 {"kind":"span-open","name":"identify","id":11400714819323198485,"parent":0}
@@ -522,12 +454,14 @@ mod tests {
 
     #[test]
     fn non_finite_floats_are_flagged_and_fail_round_trip() {
-        let ev = Event::TestDecision {
-            test: "wdcl".into(),
-            d_star: None,
-            f_at_2d_star: f64::NAN,
-            threshold: 0.94,
-            accepted: false,
+        let ev = Event::VerdictTransition {
+            transition: "dcl-appeared".into(),
+            window: 0,
+            verdict: "weakly-dominant".into(),
+            prev_verdict: "none".into(),
+            mode: 3,
+            num_probes: 1500,
+            loss_rate: f64::NAN,
         };
         assert!(!ev.floats_finite());
         // NaN serialises as `null`, which is not a valid number field.
@@ -543,10 +477,15 @@ mod tests {
             serde_json::from_str::<Event>(r#"{"kind":"span-open","name":"x","id":1}"#).is_err()
         );
         // Nullable fields are required keys too: `null` is explicit.
-        assert!(serde_json::from_str::<Event>(
-            r#"{"kind":"test-decision","test":"sdcl","f_at_2d_star":0,"threshold":1,"accepted":false}"#
-        )
-        .is_err());
+        let provenance = SAMPLES_JSONL
+            .lines()
+            .find(|l| l.contains(r#""sdcl_d_star":null"#))
+            .unwrap();
+        assert!(serde_json::from_str::<Event>(provenance).is_ok());
+        assert!(
+            serde_json::from_str::<Event>(&provenance.replace(r#""sdcl_d_star":null,"#, ""))
+                .is_err()
+        );
         assert!(serde_json::from_str::<Event>(
             r#"{"kind":"path-health-transition","window":16,"from":"quarantined","to":"probation","reason":"backoff-elapsed","backoff_hops":0}"#
         )

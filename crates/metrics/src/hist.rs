@@ -16,8 +16,7 @@ use serde::{Deserialize, Serialize};
 pub const NUM_BUCKETS: usize = 64;
 
 /// Bucket index for a value: 0 maps to bucket 0, `v >= 1` to
-/// `1 + floor(log2 v)`, saturating at the last bucket. The same shape the
-/// simulator's queue-occupancy histograms use.
+/// `1 + floor(log2 v)`, saturating at the last bucket.
 #[inline]
 pub fn log2_bucket(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).min(NUM_BUCKETS - 1)

@@ -4,11 +4,11 @@
 //! Two facilities share the crate. The **registry** keeps aggregates:
 //! monotonic counters, last-write gauges, log2 histograms and per-span
 //! wall-clock profiles. The EM fitters count iterations, restarts and
-//! guard trips; the simulator folds per-link packet and drop totals; the
-//! pipeline tracks identification and sweep-cell throughput. A
-//! [`Snapshot`] of the registry is the raw material for the `perf` bench
-//! binary's `BENCH_perf.json` trajectory, and a [`MetricsSampler`] turns
-//! it into a time series on a logical cadence. The **events** half
+//! guard trips; the simulator folds per-link packet and drop totals and
+//! queue-depth histograms; the pipeline tracks identification and
+//! sweep-cell throughput. A [`Snapshot`] of the registry is the raw
+//! material for the `perf` bench binary's `BENCH_perf.json` trajectory
+//! and the bins' end-of-run `--metrics` artifact. The **events** half
 //! ([`obs`]) streams what happened, in order: structured events to a
 //! recorder (the JSONL artifact) plus an end-of-run count per kind. A
 //! Chrome trace is a view of that stream, rendered from it after the run
@@ -26,9 +26,10 @@
 //! — starts with one relaxed load of that word and a mask; names are
 //! `&'static str` and values plain integers, so the disabled path
 //! constructs nothing. Dynamic payloads ([`counter_with`],
-//! [`obs::record_with`]) are closures that only run once there is
-//! somewhere to send the result. The parallel-determinism suite pins that
-//! identification outputs are bit-identical with telemetry on and off.
+//! [`histogram_with`], [`obs::record_with`]) are closures that only run
+//! once there is somewhere to send the result. The parallel-determinism
+//! suite pins that identification outputs are bit-identical with
+//! telemetry on and off.
 //!
 //! # One capture frame, one routing rule
 //!
@@ -65,12 +66,10 @@ mod gate;
 mod hist;
 pub mod obs;
 mod recorder;
-mod sampler;
 mod snapshot;
 mod span;
 
 pub use hist::{log2_bucket, Log2Hist, NUM_BUCKETS};
-pub use sampler::MetricsSampler;
 pub use snapshot::{Snapshot, SpanProfile, SCHEMA_VERSION};
 pub use span::{fork_ctx, span, with_item_ctx, ForkCtx, Span};
 
@@ -225,6 +224,17 @@ pub fn counter_with(f: impl FnOnce() -> (String, u64)) {
     if is_enabled() {
         let (name, delta) = f();
         with_shard(|s| *s.counters.entry(name).or_insert(0) += delta);
+    }
+}
+
+/// Merge a whole histogram under a name built by `f` — for cold paths
+/// with dynamic keys (per-link queue depths). The closure only runs when
+/// enabled.
+#[inline]
+pub fn histogram_with(f: impl FnOnce() -> (String, Log2Hist)) {
+    if is_enabled() {
+        let (name, hist) = f();
+        with_shard(|s| s.histograms.entry(name).or_default().merge(&hist));
     }
 }
 
@@ -392,6 +402,10 @@ mod tests {
             crate::observe("h", 4);
             crate::observe_duration_ns("s", 1000);
             crate::counter_with(|| ("link.drops".to_string(), 11));
+            let mut depths = Log2Hist::default();
+            [0, 3, 3].into_iter().for_each(|v| depths.observe(v));
+            crate::histogram_with(|| ("link.depth".to_string(), depths));
+            crate::histogram_with(|| ("link.depth".to_string(), depths));
         });
         assert_eq!(names(&cap.events), ["a", "b"]);
         let snap = cap.metrics.snapshot();
@@ -399,6 +413,9 @@ mod tests {
         assert_eq!(snap.counters["link.drops"], 11);
         assert_eq!(snap.gauges["g"], 9);
         assert_eq!(snap.histograms["h"].count, 1);
+        let depth = snap.histograms["link.depth"];
+        assert_eq!((depth.count, depth.sum, depth.max), (6, 12, 3));
+        assert_eq!(depth.buckets[2], 4);
         assert_eq!(snap.spans["s"].count, 1);
         assert_eq!(snap.spans["s"].total_ns, 1000);
         assert_eq!(snap.schema_version, SCHEMA_VERSION);

@@ -198,12 +198,13 @@ mod tests {
     fn jsonl_sink_skips_non_finite_floats() {
         let path = std::env::temp_dir().join("dcl-metrics-sink-nan.jsonl");
         let mut sink = JsonlSink::create(&path).unwrap();
-        sink.record(Event::TestDecision {
-            test: "wdcl".into(),
-            d_star: None,
-            f_at_2d_star: f64::NAN,
-            threshold: 0.94,
-            accepted: false,
+        sink.record(Event::EmRestart {
+            model: "mmhd".into(),
+            restart: 0,
+            iterations: 3,
+            converged: false,
+            reason: "max-iters".into(),
+            log_likelihood: f64::NAN,
         });
         sink.finish().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -71,10 +71,8 @@ impl Snapshot {
     /// degrades to "everything since the reset" instead of underflowing),
     /// gauges carry this snapshot's current value, and span profiles
     /// subtract their counts and totals while keeping this snapshot's
-    /// `max`/percentile fields (quantiles do not difference). This is the
-    /// primitive behind the time-series [`MetricsSampler`](crate::MetricsSampler):
-    /// a cadence of deltas turns the monotonic registry into counters
-    /// *per interval*.
+    /// `max`/percentile fields (quantiles do not difference): what one
+    /// phase of a run added to the monotonic registry.
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         let mut d = self.clone();
         for (name, v) in &mut d.counters {

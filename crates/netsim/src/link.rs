@@ -10,7 +10,7 @@
 use crate::packet::{Packet, Payload};
 use crate::queue::{BufferLimit, Discipline, RedVerdict};
 use crate::time::{Dur, Time};
-use dcl_metrics::{log2_bucket, NUM_BUCKETS};
+use dcl_metrics::Log2Hist;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -56,7 +56,7 @@ pub enum DropCause {
 }
 
 /// Counters kept per link.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct LinkStats {
     /// Packets offered to the queue.
     pub arrivals: u64,
@@ -76,50 +76,16 @@ pub struct LinkStats {
     pub probe_drops: u64,
     /// Time the transmitter has spent busy.
     pub busy: Dur,
-    /// Maximum backlog (queuing) delay any arrival observed. Simulated
-    /// time, so deterministic. Only maintained while events are
-    /// enabled.
-    pub max_backlog: Dur,
     /// Queue occupancy (packets, including the one in service) at
-    /// arrival, log2-bucketed: bucket 0 is an empty queue, bucket `b`
-    /// counts occupancies in `[2^(b-1), 2^b)`, the last bucket saturates.
-    /// Only maintained while events are enabled.
-    pub occupancy_hist: [u64; NUM_BUCKETS],
-    /// Backlog delay at arrival in whole milliseconds, bucketed the same
-    /// way. Only maintained while events are enabled.
-    pub backlog_hist_ms: [u64; NUM_BUCKETS],
-}
-
-// Written out: std derives `Default` for arrays only up to 32 entries.
-impl Default for LinkStats {
-    fn default() -> Self {
-        LinkStats {
-            arrivals: 0,
-            arrival_bytes: 0,
-            drops_overflow: 0,
-            drops_red: 0,
-            tx_packets: 0,
-            tx_bytes: 0,
-            probe_arrivals: 0,
-            probe_drops: 0,
-            busy: Dur::ZERO,
-            max_backlog: Dur::ZERO,
-            occupancy_hist: [0; NUM_BUCKETS],
-            backlog_hist_ms: [0; NUM_BUCKETS],
-        }
-    }
+    /// arrival. Only kept while the metrics registry records.
+    pub occupancy: Log2Hist,
+    /// Backlog (queuing) delay at arrival, in microseconds of simulated
+    /// time; its `max` is the largest backlog any arrival saw. Only kept
+    /// while the metrics registry records.
+    pub backlog_us: Log2Hist,
 }
 
 impl LinkStats {
-    /// Fold one arrival's queue depth into the observability histograms.
-    /// Called by [`Link::enqueue`] only while instrumentation is enabled;
-    /// the fields stay at their defaults otherwise.
-    fn note_arrival_depth(&mut self, q_pkts: usize, backlog: Dur) {
-        self.max_backlog = self.max_backlog.max(backlog);
-        self.occupancy_hist[log2_bucket(q_pkts as u64)] += 1;
-        self.backlog_hist_ms[log2_bucket(backlog.as_nanos() / 1_000_000)] += 1;
-    }
-
     /// Fraction of offered packets that were dropped.
     pub fn loss_rate(&self) -> f64 {
         if self.arrivals == 0 {
@@ -272,10 +238,11 @@ impl Link {
         if is_probe {
             self.stats.probe_arrivals += 1;
         }
-        if dcl_metrics::obs::is_enabled() {
+        if dcl_metrics::is_enabled() {
             let q_pkts = self.queue.len() + usize::from(self.in_service.is_some());
+            self.stats.occupancy.observe(q_pkts as u64);
             let backlog = self.backlog_delay(now);
-            self.stats.note_arrival_depth(q_pkts, backlog);
+            self.stats.backlog_us.observe(backlog.as_nanos() / 1_000);
         }
 
         // RED test first (RED can reject even a fitting packet).
@@ -525,17 +492,17 @@ mod tests {
             l.enqueue(pkt(3, 1000), t0); // 2 in flight -> bucket 2
         });
         let s = *l.stats();
-        assert_eq!(s.occupancy_hist[0], 1);
-        assert_eq!(s.occupancy_hist[1], 1);
-        assert_eq!(s.occupancy_hist[2], 1);
+        assert_eq!(s.occupancy.buckets[0], 1);
+        assert_eq!(s.occupancy.buckets[1], 1);
+        assert_eq!(s.occupancy.buckets[2], 1);
         // Third arrival saw 8 ms residual + 8 ms queued = 16 ms backlog.
-        assert_eq!(s.max_backlog, Dur::from_millis(16.0));
-        assert_eq!(s.backlog_hist_ms.iter().sum::<u64>(), 3);
+        assert_eq!(s.backlog_us.max, 16_000);
+        assert_eq!(s.backlog_us.buckets.iter().sum::<u64>(), 3);
         // Disabled: fields stay at their defaults.
         let mut quiet = link(1_000_000, 10_000);
         quiet.enqueue(pkt(9, 1000), t0);
-        assert_eq!(quiet.stats().occupancy_hist, [0; NUM_BUCKETS]);
-        assert_eq!(quiet.stats().max_backlog, Dur::ZERO);
+        assert_eq!(quiet.stats().occupancy, Log2Hist::default());
+        assert_eq!(quiet.stats().backlog_us.max, 0);
     }
 
     #[test]

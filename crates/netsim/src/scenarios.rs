@@ -272,24 +272,24 @@ impl PathScenario {
     /// Run `warmup` of simulated time, discard all measurements, then run
     /// `measure` more and return the probe trace.
     ///
-    /// With events on, emits a `queue-stats` event per link for
-    /// the measurement window and a `netsim.run` wall-clock span.
+    /// Records a `netsim.run` span, and with the registry on folds the
+    /// measurement window's per-link totals into it.
     pub fn run(&mut self, warmup: Dur, measure: Dur) -> ProbeTrace {
         let _span = dcl_metrics::span("netsim.run");
         self.sim.run_until(Time::ZERO + warmup);
         self.sim.reset_measurements();
         self.sim.run_until(Time::ZERO + warmup + measure);
-        self.sim.record_queue_stats();
         let trace = ProbeTrace::from_sim(&self.sim, self.base_delay, self.probe_interval);
         self.fold_metrics(&trace);
         trace
     }
 
     /// Fold end-of-run totals into the `dcl_metrics` registry: probe and
-    /// event throughput counters plus per-hop-link queue/drop totals. All
-    /// values are simulated state, so the folds are deterministic; the
-    /// per-link names are built lazily via `counter_with` so a disabled
-    /// registry pays nothing.
+    /// event throughput counters, and under `netsim.link.<name>.` every
+    /// link's arrival and drop counters and its `occupancy` and
+    /// `backlog_us` arrival-depth histograms. All values are simulated
+    /// state, so the folds are deterministic; the per-link names are
+    /// built lazily, so a disabled registry pays nothing.
     fn fold_metrics(&self, trace: &ProbeTrace) {
         if !dcl_metrics::is_enabled() {
             return;
@@ -297,20 +297,23 @@ impl PathScenario {
         dcl_metrics::counter("netsim.runs", 1);
         dcl_metrics::counter("netsim.probes", trace.len() as u64);
         dcl_metrics::counter("netsim.events", self.sim.events_processed());
-        for &l in self.hop_links.iter() {
-            let link = self.sim.network().link(l);
-            let name = link.config().name.clone();
+        let net = self.sim.network();
+        for i in 0..net.num_links() {
+            let link = net.link(LinkId(i));
+            let name = &link.config().name;
             let s = *link.stats();
-            dcl_metrics::counter_with(|| (format!("netsim.link.{name}.arrivals"), s.arrivals));
-            dcl_metrics::counter_with(|| {
-                (
-                    format!("netsim.link.{name}.drops"),
-                    s.drops_overflow + s.drops_red,
-                )
-            });
-            dcl_metrics::counter_with(|| {
-                (format!("netsim.link.{name}.probe_drops"), s.probe_drops)
-            });
+            for (counter, value) in [
+                ("arrivals", s.arrivals),
+                ("drops", s.drops_overflow + s.drops_red),
+                ("drops_red", s.drops_red),
+                ("probe_arrivals", s.probe_arrivals),
+                ("probe_drops", s.probe_drops),
+            ] {
+                dcl_metrics::counter_with(|| (format!("netsim.link.{name}.{counter}"), value));
+            }
+            for (hist, value) in [("occupancy", s.occupancy), ("backlog_us", s.backlog_us)] {
+                dcl_metrics::histogram_with(|| (format!("netsim.link.{name}.{hist}"), value));
+            }
         }
     }
 
@@ -460,5 +463,41 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    #[test]
+    fn a_run_folds_every_link_into_the_registry_and_nothing_into_the_stream() {
+        let mut sc = PathScenario::build(&strongly_cfg(5));
+        let (_, captured) =
+            dcl_metrics::capture(|| sc.run(Dur::from_secs(5.0), Dur::from_secs(20.0)));
+        let snap = captured.metrics.snapshot();
+        let net = sc.sim.network();
+        assert_eq!(net.num_links(), 10, "access, 3 hops, access, 5 reverse");
+        for i in 0..net.num_links() {
+            let link = net.link(LinkId(i));
+            let s = *link.stats();
+            let key = |field: &str| format!("netsim.link.{}.{field}", link.config().name);
+            for (field, value) in [
+                ("arrivals", s.arrivals),
+                ("drops", s.drops_overflow + s.drops_red),
+                ("drops_red", s.drops_red),
+                ("probe_arrivals", s.probe_arrivals),
+                ("probe_drops", s.probe_drops),
+            ] {
+                assert_eq!(snap.counters[&key(field)], value, "{}", key(field));
+            }
+            for field in ["occupancy", "backlog_us"] {
+                let h = snap.histograms[&key(field)];
+                assert_eq!(h.count, s.arrivals, "one observation per arrival");
+                assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+            }
+        }
+        // The dominant hop drops, and saw a full 160 ms buffer.
+        let hop1 = snap.histograms["netsim.link.hop1.backlog_us"];
+        assert!(snap.counters["netsim.link.hop1.drops"] > 0);
+        assert!((150_000..=170_000).contains(&hop1.max), "{}", hop1.max);
+        // The stream holds only the run's span.
+        let kinds: Vec<&str> = captured.events.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds, ["span-open", "span-close"]);
     }
 }

@@ -292,32 +292,6 @@ impl Simulator {
         }
     }
 
-    /// Emit one `queue-stats` observability event per link from the
-    /// current counters. No-op (and no event construction) while
-    /// instrumentation is disabled. Scenario drivers call this at the end
-    /// of the measurement window; every field is simulated-time state, so
-    /// the events are deterministic.
-    pub fn record_queue_stats(&self) {
-        if !dcl_metrics::obs::is_enabled() {
-            return;
-        }
-        for i in 0..self.net.num_links() {
-            let link = self.net.link(LinkId(i));
-            let stats = link.stats();
-            dcl_metrics::obs::record(dcl_metrics::obs::Event::QueueStats {
-                link: link.config().name.clone(),
-                arrivals: stats.arrivals,
-                drops_overflow: stats.drops_overflow,
-                drops_red: stats.drops_red,
-                probe_arrivals: stats.probe_arrivals,
-                probe_drops: stats.probe_drops,
-                max_backlog_us: stats.max_backlog.as_nanos() / 1_000,
-                occupancy_hist: stats.occupancy_hist.to_vec(),
-                backlog_hist_ms: stats.backlog_hist_ms.to_vec(),
-            });
-        }
-    }
-
     fn start_agents(&mut self) {
         for i in 0..self.agents.len() {
             self.with_agent(AgentId(i), |agent, ctx| agent.start(ctx));

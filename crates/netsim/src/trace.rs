@@ -26,11 +26,6 @@ pub struct TraceSanitation {
 }
 
 impl TraceSanitation {
-    /// Did sanitisation leave the trace untouched?
-    pub fn is_clean(&self) -> bool {
-        self.out_of_order == 0 && self.duplicates == 0 && self.corrupt == 0
-    }
-
     /// Records removed from the trace (duplicates plus corrupt).
     pub fn dropped(&self) -> usize {
         self.duplicates + self.corrupt
@@ -369,7 +364,7 @@ mod tests {
     fn sanitized_is_identity_on_clean_traces() {
         let t = trace();
         let (clean, san) = t.sanitized();
-        assert!(san.is_clean());
+        assert_eq!(san, TraceSanitation::default());
         assert_eq!(san.dropped(), 0);
         assert_eq!(clean.len(), t.len());
         for (a, b) in clean.records.iter().zip(&t.records) {
@@ -392,7 +387,6 @@ mod tests {
         assert_eq!(san.corrupt, 1);
         assert_eq!(san.duplicates, 1);
         assert!(san.out_of_order > 0);
-        assert!(!san.is_clean());
         let seqs: Vec<u64> = clean.records.iter().map(|r| r.stamp.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }

@@ -1,11 +1,9 @@
-//! Constant-bit-rate and Poisson packet sources.
+//! A Poisson packet source.
 //!
-//! Besides the paper's on–off UDP, two classic open-loop sources round out
-//! the traffic toolbox: [`CbrUdp`] sends at an exactly constant rate, and
-//! [`PoissonUdp`] with exponential inter-arrivals — the latter makes the
-//! simulator's queues analytically checkable (an M/D/1 system), which the
-//! test suite uses to validate the queueing core against the
-//! Pollaczek–Khinchine formula.
+//! Besides the paper's on–off UDP, [`PoissonUdp`] sends with exponential
+//! inter-arrivals. It makes the simulator's queues analytically checkable
+//! (an M/D/1 system), which the test suite uses to validate the queueing
+//! core against the Pollaczek–Khinchine formula.
 
 use crate::packet::{AgentId, Payload, Route};
 use crate::sim::{Agent, Ctx};
@@ -15,52 +13,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 const KIND_SEND: u64 = 0;
-
-/// Constant-bit-rate UDP source.
-pub struct CbrUdp {
-    route: Route,
-    dst: AgentId,
-    pkt_size: u32,
-    spacing: Dur,
-    start_delay: Dur,
-    packets_sent: u64,
-}
-
-impl CbrUdp {
-    /// Create a CBR source sending `rate_bps` in packets of `pkt_size`
-    /// bytes.
-    pub fn new(route: Route, dst: AgentId, rate_bps: u64, pkt_size: u32, start_delay: Dur) -> Self {
-        assert!(rate_bps > 0);
-        CbrUdp {
-            route,
-            dst,
-            pkt_size,
-            spacing: Dur::transmission(pkt_size, rate_bps),
-            start_delay,
-            packets_sent: 0,
-        }
-    }
-
-    /// Packets sent so far.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-}
-
-impl Agent for CbrUdp {
-    fn start(&mut self, ctx: &mut Ctx) {
-        ctx.timer_in(self.start_delay, KIND_SEND);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, kind: u64) {
-        if kind != KIND_SEND {
-            return;
-        }
-        ctx.send(self.pkt_size, self.dst, self.route.clone(), Payload::Udp);
-        self.packets_sent += 1;
-        ctx.timer_in(self.spacing, KIND_SEND);
-    }
-}
 
 /// Poisson packet source: exponential inter-arrival times with the given
 /// mean rate.
@@ -135,26 +87,6 @@ mod tests {
         ));
         let sink = sim.add_agent(Box::new(NullAgent));
         (sim, l, sink)
-    }
-
-    #[test]
-    fn cbr_rate_is_exact() {
-        let (mut sim, l, sink) = sim_with_link(10_000_000);
-        sim.add_agent(Box::new(CbrUdp::new(
-            vec![l].into(),
-            sink,
-            1_000_000,
-            1000,
-            Dur::ZERO,
-        )));
-        sim.run_until(Time::from_secs(40.0));
-        let stats = sim.link_stats(l);
-        // 1 Mb/s = 125 pkt/s for 40 s = 5000 packets (+/- boundary).
-        assert!(
-            (4999..=5001).contains(&stats.tx_packets),
-            "{}",
-            stats.tx_packets
-        );
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl TcpSender {
         self.stats
     }
 
-    /// Current congestion window in segments.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     fn sample_transfer_size(&mut self) -> Option<u64> {
         match &self.cfg.model {
             FlowModel::Persistent => None,
