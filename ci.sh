@@ -50,7 +50,10 @@
 #                of the setting constructors in the paper bins or the
 #                golden test, which read the scenario catalogue; and no
 #                `gen_range` under crates/bench/src, whose segment draws
-#                belong to dcl_core::sweep;
+#                belong to dcl_core::sweep; and no comparator helper
+#                (`assert_bits_eq`, `assert_*identical*`,
+#                `assert_*bitwise*`) or `dominant_trace` in a tests/*.rs
+#                file, which assert with `assert_eq!` over tests/common;
 #   doc          rustdoc over the workspace, warnings denied, so a renamed
 #                or moved item cannot leave a broken doc link behind.
 #
@@ -235,6 +238,13 @@ job_clippy() {
   # one duration-sweep protocol instead of drawing segments themselves.
   if grep -rnE '\bgen_range\b' crates/bench/src; then
     echo "segment draws in dcl-bench outside dcl_core::sweep" >&2
+    exit 1
+  fi
+  # The report types' `==` is bit equality, so the integration tests pin
+  # reports with plain `assert_eq!`; their synthetic stream is
+  # tests/common's. No test file writes its own comparator or trace.
+  if grep -nE '\bfn (assert_(bits_eq|\w*identical|\w*bitwise)|dominant_trace)\w*\b' tests/*.rs; then
+    echo "report comparator or dominant-link trace outside tests/common" >&2
     exit 1
   fi
 }

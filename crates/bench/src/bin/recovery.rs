@@ -24,7 +24,7 @@
 
 use dcl_bench::{print_header, print_row};
 use dcl_core::identify::IdentifyConfig;
-use dcl_core::{PathHealth, StreamConfig, WindowSpec};
+use dcl_core::{PathHealth, StreamConfig, StreamUpdate, WindowSpec};
 use dcl_fleet::{FleetCheckpoint, StreamingFleet};
 use dcl_netsim::packet::ProbeStamp;
 use dcl_netsim::sim::ProbeRecord;
@@ -134,26 +134,22 @@ fn main() {
 
     // Uninterrupted twin: the bitwise reference for the restored run.
     let mut twin = build_fleet(cfg, paths, base, interval);
-    let mut want: Vec<Vec<String>> = vec![Vec::new(); paths];
+    let mut want: Vec<Vec<StreamUpdate>> = vec![Vec::new(); paths];
     for round in &rounds {
         let chunks: Vec<&[ProbeRecord]> = round.iter().map(Vec::as_slice).collect();
         for (p, ups) in twin.ingest_round(&chunks).into_iter().enumerate() {
-            for u in ups {
-                want[p].push(format!("{}:{:?}", u.window_index, u.result));
-            }
+            want[p].extend(ups);
         }
     }
 
     // Storm run: half the rounds, checkpoint, kill, restore, finish.
     let mut fleet = build_fleet(cfg, paths, base, interval);
-    let mut got: Vec<Vec<String>> = vec![Vec::new(); paths];
+    let mut got: Vec<Vec<StreamUpdate>> = vec![Vec::new(); paths];
     let half = windows / 2;
     for round in &rounds[..half] {
         let chunks: Vec<&[ProbeRecord]> = round.iter().map(Vec::as_slice).collect();
         for (p, ups) in fleet.ingest_round(&chunks).into_iter().enumerate() {
-            for u in ups {
-                got[p].push(format!("{}:{:?}", u.window_index, u.result));
-            }
+            got[p].extend(ups);
         }
     }
     let ck = fleet.checkpoint_all();
@@ -165,9 +161,7 @@ fn main() {
     for round in &rounds[half..] {
         let chunks: Vec<&[ProbeRecord]> = round.iter().map(Vec::as_slice).collect();
         for (p, ups) in fleet.ingest_round(&chunks).into_iter().enumerate() {
-            for u in ups {
-                got[p].push(format!("{}:{:?}", u.window_index, u.result));
-            }
+            got[p].extend(ups);
         }
     }
     std::panic::set_hook(hook);

@@ -18,7 +18,7 @@ use dcl_bench::{
 };
 use dcl_core::identify::identify;
 use dcl_faults::FaultPlan;
-use dcl_netsim::trace::ProbeTrace;
+use dcl_netsim::trace::{ProbeTrace, TraceSanitation};
 use serde_json::json;
 
 struct Cell {
@@ -94,7 +94,7 @@ fn main() {
                         r.loss_rate.is_finite() && r.pmf.mass().iter().all(|x| x.is_finite()),
                         "NaN in report for {scenario}@{intensity}"
                     );
-                    if Ok(r.verdict) == clean && r.warnings.is_empty() {
+                    if Ok(r.verdict) == clean && r.sanitation == TraceSanitation::default() {
                         cell.stable += 1;
                     } else {
                         cell.degraded += 1;

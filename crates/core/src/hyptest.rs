@@ -22,8 +22,8 @@
 use dcl_probnum::Cdf;
 use serde::{Deserialize, Serialize};
 
-/// Outcome of a hypothesis test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Outcome of a hypothesis test. `==` compares the floats by their bits.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TestOutcome {
     /// Was the null hypothesis (a dominant congested link exists) accepted?
     pub accepted: bool,
@@ -35,6 +35,21 @@ pub struct TestOutcome {
     /// The acceptance threshold `1 − ε₁ − ε₂` (adjusted by the numeric
     /// floor).
     pub threshold: f64,
+}
+
+impl PartialEq for TestOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        let TestOutcome {
+            accepted,
+            d_star,
+            f_at_2d_star,
+            threshold,
+        } = self;
+        *accepted == other.accepted
+            && *d_star == other.d_star
+            && f_at_2d_star.to_bits() == other.f_at_2d_star.to_bits()
+            && threshold.to_bits() == other.threshold.to_bits()
+    }
 }
 
 /// Parameters of the weakly-dominant test.

@@ -150,64 +150,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// A non-fatal degradation the pipeline worked around. Verdicts carrying
-/// warnings are still valid but were computed from a repaired trace;
-/// callers distinguishing clean from degraded runs check
-/// [`Identification::warnings`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Warning {
-    /// Probe records arrived out of sequence order and were re-sorted.
-    Reordered {
-        /// Out-of-order records detected.
-        count: usize,
-    },
-    /// Duplicate sequence numbers were dropped (first occurrence kept).
-    DuplicatesDropped {
-        /// Duplicates removed.
-        count: usize,
-    },
-    /// Corrupt records (arrival before sending) were dropped.
-    CorruptDropped {
-        /// Corrupt records removed.
-        count: usize,
-    },
-}
-
-impl fmt::Display for Warning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Warning::Reordered { count } => {
-                write!(f, "{count} out-of-order records re-sorted")
-            }
-            Warning::DuplicatesDropped { count } => {
-                write!(f, "{count} duplicate sequence numbers dropped")
-            }
-            Warning::CorruptDropped { count } => {
-                write!(f, "{count} corrupt records dropped")
-            }
-        }
-    }
-}
-
-/// Build the warning list for a sanitation report (empty when clean).
-fn sanitation_warnings(san: &TraceSanitation) -> Vec<Warning> {
-    let mut w = Vec::new();
-    if san.out_of_order > 0 {
-        w.push(Warning::Reordered {
-            count: san.out_of_order,
-        });
-    }
-    if san.duplicates > 0 {
-        w.push(Warning::DuplicatesDropped {
-            count: san.duplicates,
-        });
-    }
-    if san.corrupt > 0 {
-        w.push(Warning::CorruptDropped { count: san.corrupt });
-    }
-    w
-}
-
 /// How a verdict was reached: the facts of the winning model fit and
 /// the signed margins of the two hypothesis tests. Attached to every
 /// [`Identification`] (batch, streaming and fleet) so a verdict can be
@@ -218,8 +160,9 @@ fn sanitation_warnings(san: &TraceSanitation) -> Vec<Warning> {
 /// numerics. Window and path context deliberately live only on the
 /// `verdict-provenance` *event* — the report itself stays independent
 /// of where the trace came from, which is what pins streaming-vs-batch
-/// and fleet-vs-scalar bit-equality.
-#[derive(Debug, Clone, PartialEq)]
+/// and fleet-vs-scalar bit-equality. `==` compares the floats by their
+/// bits.
+#[derive(Debug, Clone)]
 pub struct Provenance {
     /// Model family that produced the distribution ("hmm" or "mmhd").
     pub model: &'static str,
@@ -262,7 +205,14 @@ pub(crate) struct ProvCtx {
 }
 
 /// Full identification report.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `==` is bit equality: every `f64` (the PMF's mass, both test
+/// outcomes, the loss rate and the provenance) is compared by
+/// `f64::to_bits`, so `0.0` and `-0.0` differ and a NaN equals itself.
+/// This is the one meaning of "the same report" that the determinism
+/// contract pins: across thread counts, batch and streaming, fleet and
+/// single path, and a checkpoint's continuation.
+#[derive(Debug, Clone)]
 pub struct Identification {
     /// The verdict.
     pub verdict: Verdict,
@@ -283,11 +233,68 @@ pub struct Identification {
     pub bound_basic: Option<Dur>,
     /// Connected-component heuristic bound on the finer discretisation.
     pub bound_heuristic: Option<Dur>,
-    /// Non-fatal degradations the pipeline repaired on the way to this
-    /// verdict; empty for a clean trace.
-    pub warnings: Vec<Warning>,
+    /// The repairs sanitisation made to the trace before this verdict
+    /// (records re-sorted, duplicates and corrupt records dropped); all
+    /// zero for a clean trace.
+    pub sanitation: TraceSanitation,
     /// How the verdict was reached: fit facts and test margins.
     pub provenance: Provenance,
+}
+
+impl PartialEq for Provenance {
+    fn eq(&self, other: &Self) -> bool {
+        let Provenance {
+            model,
+            warm,
+            restarts,
+            iterations,
+            converged,
+            guard_trips,
+            log_likelihood,
+            sdcl_margin,
+            wdcl_margin,
+            degraded,
+        } = self;
+        *model == other.model
+            && *warm == other.warm
+            && *restarts == other.restarts
+            && *iterations == other.iterations
+            && *converged == other.converged
+            && *guard_trips == other.guard_trips
+            && log_likelihood.to_bits() == other.log_likelihood.to_bits()
+            && sdcl_margin.to_bits() == other.sdcl_margin.to_bits()
+            && wdcl_margin.to_bits() == other.wdcl_margin.to_bits()
+            && *degraded == other.degraded
+    }
+}
+
+impl PartialEq for Identification {
+    fn eq(&self, other: &Self) -> bool {
+        let Identification {
+            verdict,
+            pmf,
+            sdcl,
+            wdcl,
+            num_probes,
+            loss_rate,
+            bin_width,
+            bound_basic,
+            bound_heuristic,
+            sanitation,
+            provenance,
+        } = self;
+        *verdict == other.verdict
+            && *pmf == other.pmf
+            && *sdcl == other.sdcl
+            && *wdcl == other.wdcl
+            && *num_probes == other.num_probes
+            && loss_rate.to_bits() == other.loss_rate.to_bits()
+            && *bin_width == other.bin_width
+            && *bound_basic == other.bound_basic
+            && *bound_heuristic == other.bound_heuristic
+            && *sanitation == other.sanitation
+            && *provenance == other.provenance
+    }
 }
 
 /// Why identification could not run.
@@ -430,7 +437,7 @@ fn fit_model(
 ///
 /// Malformed traces are sanitised first (re-sorted, duplicates and
 /// corrupt records dropped); the repairs surface as
-/// [`Identification::warnings`]. A clean trace passes through
+/// [`Identification::sanitation`]. A clean trace passes through
 /// sanitisation bitwise untouched, so clean-trace results are identical
 /// to the unsanitised pipeline.
 pub fn identify(trace: &ProbeTrace, cfg: &IdentifyConfig) -> Result<Identification, IdentifyError> {
@@ -459,11 +466,11 @@ pub(crate) fn identify_fitted(
 }
 
 /// Everything the pipeline derives from a trace *before* the model fit:
-/// the sanitised records, their repair warnings, and the identification
-/// discretiser.
+/// the sanitised records, the repairs sanitisation made, and the
+/// identification discretiser.
 struct PreparedTrace {
     trace: ProbeTrace,
-    warnings: Vec<Warning>,
+    sanitation: TraceSanitation,
     disc: Discretizer,
 }
 
@@ -472,7 +479,6 @@ fn prepare_trace(trace: &ProbeTrace, cfg: &IdentifyConfig) -> Result<PreparedTra
         return Err(IdentifyError::EmptyTrace);
     }
     let (sanitized, san) = trace.sanitized();
-    let warnings = sanitation_warnings(&san);
     // A trace that loses half its records to repairs is not a
     // measurement any more.
     if san.dropped() * 2 > sanitized.len() + san.dropped() {
@@ -501,7 +507,7 @@ fn prepare_trace(trace: &ProbeTrace, cfg: &IdentifyConfig) -> Result<PreparedTra
         .ok_or(IdentifyError::DegenerateDelays)?;
     Ok(PreparedTrace {
         trace: sanitized,
-        warnings,
+        sanitation: san,
         disc,
     })
 }
@@ -520,7 +526,7 @@ fn finish_identification(
 ) -> Identification {
     let PreparedTrace {
         trace,
-        warnings,
+        sanitation,
         disc,
     } = prep;
     let trace = &trace;
@@ -610,7 +616,7 @@ fn finish_identification(
         bin_width: disc.bin_width(),
         bound_basic,
         bound_heuristic,
-        warnings,
+        sanitation,
         provenance,
     }
 }
@@ -846,6 +852,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hmm.provenance.model, "hmm");
+    }
+
+    #[test]
+    fn equality_compares_float_bits() {
+        let cfg = IdentifyConfig {
+            estimate_bound: false,
+            restarts: 1,
+            ..IdentifyConfig::default()
+        };
+        let mut zero = identify(&dominant_trace(1500), &cfg).unwrap();
+        zero.provenance.sdcl_margin = 0.0;
+        let mut negative_zero = zero.clone();
+        negative_zero.provenance.sdcl_margin = -0.0;
+        assert_ne!(zero, negative_zero);
+        let mut nan = zero;
+        nan.provenance.log_likelihood = f64::NAN;
+        assert_eq!(nan, nan.clone());
     }
 
     #[test]

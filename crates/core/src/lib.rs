@@ -67,7 +67,7 @@ pub use health::PathHealth;
 pub use hyptest::{sdcl_test, wdcl_test, TestOutcome, WdclParams};
 pub use identify::{
     identify, identify_path, Identification, IdentifyConfig, IdentifyError, ModelKind, Provenance,
-    Verdict, Warning,
+    Verdict,
 };
 pub use localize::{localize, Localization, PrefixProber, SimulatedPrefixProber};
 pub use stream::{

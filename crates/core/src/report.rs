@@ -84,8 +84,15 @@ impl fmt::Display for Identification {
             (None, Some(b)) => write!(f, "max queuing delay bound: {b}")?,
             (None, None) => write!(f, "max queuing delay bound: n/a")?,
         }
-        for w in &self.warnings {
-            write!(f, "\nwarning: {w}")?;
+        let san = &self.sanitation;
+        for (count, repair) in [
+            (san.out_of_order, "out-of-order records re-sorted"),
+            (san.duplicates, "duplicate sequence numbers dropped"),
+            (san.corrupt, "corrupt records dropped"),
+        ] {
+            if count > 0 {
+                write!(f, "\nwarning: {count} {repair}")?;
+            }
         }
         Ok(())
     }
@@ -97,6 +104,7 @@ mod tests {
     use crate::hyptest::TestOutcome;
     use crate::identify::{Provenance, Verdict};
     use dcl_netsim::time::Dur;
+    use dcl_netsim::trace::TraceSanitation;
     use dcl_probnum::Pmf;
 
     fn sample() -> Identification {
@@ -120,7 +128,7 @@ mod tests {
             bin_width: Dur::from_millis(32.0),
             bound_basic: Some(Dur::from_millis(96.0)),
             bound_heuristic: Some(Dur::from_millis(118.0)),
-            warnings: vec![],
+            sanitation: TraceSanitation::default(),
             provenance: Provenance {
                 model: "mmhd",
                 warm: false,
@@ -158,10 +166,12 @@ mod tests {
     #[test]
     fn display_lists_warnings() {
         let mut id = sample();
-        id.warnings = vec![crate::identify::Warning::Reordered { count: 7 }];
-        assert!(id
-            .to_string()
-            .contains("warning: 7 out-of-order records re-sorted"));
+        assert!(!id.to_string().contains("warning"));
+        id.sanitation.out_of_order = 7;
+        id.sanitation.corrupt = 2;
+        assert!(id.to_string().ends_with(
+            "\nwarning: 7 out-of-order records re-sorted\nwarning: 2 corrupt records dropped"
+        ));
     }
 
     #[test]

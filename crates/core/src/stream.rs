@@ -124,7 +124,7 @@ impl Transition {
 }
 
 /// Outcome of one window evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamUpdate {
     /// 0-based index of this window among all evaluations.
     pub window_index: usize,

@@ -48,7 +48,7 @@ impl Default for SweepConfig {
     }
 }
 
-/// Result for one duration.
+/// Result for one duration. `==` compares the floats by their bits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPoint {
     /// Segment duration in seconds.
@@ -63,8 +63,26 @@ pub struct SweepPoint {
     pub repetitions: usize,
 }
 
+impl PartialEq for SweepPoint {
+    fn eq(&self, other: &Self) -> bool {
+        let SweepPoint {
+            duration_secs,
+            match_ratio,
+            match_ci,
+            unusable_ratio,
+            repetitions,
+        } = self;
+        duration_secs.to_bits() == other.duration_secs.to_bits()
+            && match_ratio.to_bits() == other.match_ratio.to_bits()
+            && match_ci.0.to_bits() == other.match_ci.0.to_bits()
+            && match_ci.1.to_bits() == other.match_ci.1.to_bits()
+            && unusable_ratio.to_bits() == other.unusable_ratio.to_bits()
+            && *repetitions == other.repetitions
+    }
+}
+
 /// Outcome of a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepResult {
     /// Did the *reference* (full-trace) identification find a dominant
     /// congested link?

@@ -44,7 +44,7 @@ pub struct FleetConfig {
 }
 
 /// One path's outcome in a [`FleetReport`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathVerdict {
     /// Index of the path in insertion order.
     pub path: usize,
@@ -73,7 +73,7 @@ pub struct FleetSummary {
 
 /// Result of [`Fleet::identify_all`]: per-path verdicts in insertion
 /// order plus the aggregate tally.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// One entry per path, in insertion order.
     pub verdicts: Vec<PathVerdict>,

@@ -222,14 +222,7 @@ impl PathScenario {
         for (i, hop) in cfg.hops.iter().enumerate() {
             let fwd: Route = vec![hop_links[i]].into();
             let rev: Route = vec![rev_links[i + 1]].into();
-            add_mix(
-                &mut sim,
-                &hop.cross,
-                &fwd,
-                &rev,
-                &mut next_seed,
-                &format!("hop{}", i + 1),
-            );
+            add_mix(&mut sim, &hop.cross, &fwd, &rev, &mut next_seed);
         }
         // End–end traffic shares the probe route.
         add_mix(
@@ -238,7 +231,6 @@ impl PathScenario {
             &probe_route,
             &rev_route,
             &mut next_seed,
-            "e2e",
         );
 
         // The prober.
@@ -345,7 +337,6 @@ fn add_mix(
     fwd: &Route,
     rev: &Route,
     next_seed: &mut impl FnMut() -> u64,
-    _label: &str,
 ) {
     for f in 0..mix.ftp_flows {
         let sink = sim.add_agent(Box::new(TcpSink::new(rev.clone(), 40)));

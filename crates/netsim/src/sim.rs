@@ -111,26 +111,25 @@ impl Network {
             // then continues down the path.
             stamp.loss_hop = Some(hop);
             stamp.link_waits.push(backlog);
-            let link = &self.links[pkt.current_link().0];
-            let depart = now + backlog + link.tx_time(pkt.size) + link.prop_delay();
-            pkt.hop += 1;
-            if pkt.hop >= pkt.route.len() {
-                self.complete_lost_probe(pkt);
-            } else {
-                events.schedule(depart, EventKind::GhostArrival(pkt));
-            }
+            self.ghost_depart(pkt, backlog, now, events);
         }
     }
 
     /// Ghost continuation arrives at its current hop: sample the backlog and
     /// move on.
     fn ghost_arrival(&mut self, mut pkt: Packet, now: Time, events: &mut EventQueue) {
-        let link_id = pkt.current_link();
-        let wait = self.links[link_id.0].backlog_delay(now);
+        let wait = self.links[pkt.current_link().0].backlog_delay(now);
         if let Payload::Probe(stamp) = &mut pkt.payload {
             stamp.link_waits.push(wait);
         }
-        let link = &self.links[link_id.0];
+        self.ghost_depart(pkt, wait, now, events);
+    }
+
+    /// A ghost leaves its current link after `wait` plus the link's
+    /// transmission and propagation time: it arrives at the next hop, or
+    /// is logged as lost once it has crossed the last link.
+    fn ghost_depart(&mut self, mut pkt: Packet, wait: Dur, now: Time, events: &mut EventQueue) {
+        let link = &self.links[pkt.current_link().0];
         let depart = now + wait + link.tx_time(pkt.size) + link.prop_delay();
         pkt.hop += 1;
         if pkt.hop >= pkt.route.len() {

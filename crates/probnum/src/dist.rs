@@ -11,9 +11,24 @@ use serde::{Deserialize, Serialize};
 use crate::stochastic;
 
 /// A probability mass function over delay symbols `1..=M`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `==` is bit equality: two PMFs are equal when every mass entry has the
+/// same `f64::to_bits`, so `0.0` and `-0.0` differ and a NaN equals
+/// itself.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Pmf {
     mass: Vec<f64>,
+}
+
+impl PartialEq for Pmf {
+    fn eq(&self, other: &Self) -> bool {
+        let Pmf { mass } = self;
+        mass.len() == other.mass.len()
+            && mass
+                .iter()
+                .zip(&other.mass)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 impl Pmf {
@@ -191,6 +206,21 @@ mod tests {
         assert!((p.prob(1) - 2.0 / 6.0).abs() < 1e-12);
         assert!((p.prob(3) - 3.0 / 6.0).abs() < 1e-12);
         assert_eq!(p.prob(2), 0.0);
+    }
+
+    #[test]
+    fn equality_compares_mass_bits() {
+        let zero = Pmf {
+            mass: vec![0.0, 1.0],
+        };
+        let negative_zero = Pmf {
+            mass: vec![-0.0, 1.0],
+        };
+        assert_ne!(zero, negative_zero);
+        let nan = Pmf {
+            mass: vec![f64::NAN, 1.0],
+        };
+        assert_eq!(nan, nan.clone());
     }
 
     #[test]

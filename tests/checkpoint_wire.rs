@@ -15,14 +15,15 @@
 //! notation, so a checkpoint written positionally by an earlier build
 //! still restores.
 
+mod common;
+
 use dominant_congested_links::fleet::{FleetCheckpoint, StreamingFleet};
 use dominant_congested_links::identification::identify::IdentifyConfig;
 use dominant_congested_links::identification::{
     PathHealth, StreamConfig, StreamUpdate, StreamingCheckpoint, StreamingIdentifier, WindowSpec,
 };
-use dominant_congested_links::netsim::packet::ProbeStamp;
 use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
+use dominant_congested_links::netsim::time::Dur;
 
 /// Records per window, and the window hop.
 const PER: usize = 100;
@@ -37,37 +38,6 @@ const INTERVAL: Dur = Dur::from_nanos(20_000_000);
 fn fixture(name: &str) -> String {
     let path = format!("tests/golden/{name}");
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-}
-
-/// Record `i` of a stream on a 20 ms probe clock: a dominant-link pattern
-/// (losses only inside high-delay bursts) or a loss-free one.
-fn record(i: usize, dominant: bool, offset: usize) -> ProbeRecord {
-    let sent = Time::from_secs(i as f64 * 0.02);
-    let mut stamp = ProbeStamp::new(i as u64, None, sent);
-    let arrival = if !dominant {
-        Some(sent + Dur::from_millis(25.0 + (i % 50) as f64))
-    } else {
-        let phase = (i + offset) % 25;
-        if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        }
-    };
-    ProbeRecord { stamp, arrival }
-}
-
-/// One window of records per character of `kinds`: `D` dominant, `L`
-/// loss-free.
-fn stream(kinds: &str, offset: usize) -> Vec<ProbeRecord> {
-    kinds
-        .chars()
-        .enumerate()
-        .flat_map(|(w, k)| (w * PER..(w + 1) * PER).map(move |i| record(i, k == 'D', offset)))
-        .collect()
 }
 
 fn cfg() -> StreamConfig {
@@ -85,15 +55,9 @@ fn cfg() -> StreamConfig {
     }
 }
 
-/// Updates compared by their `Debug` text: floats print as their
-/// shortest round-tripping decimal, so equal text means equal bits.
-fn debug(updates: &[StreamUpdate]) -> Vec<String> {
-    updates.iter().map(|u| format!("{u:?}")).collect()
-}
-
 #[test]
 fn engine_checkpoint_bytes_and_continuation_are_pinned() {
-    let records = stream("DLLLLDDDDD", 0);
+    let records = common::blocks("DLLLLDDDDD", PER, 0).records;
     let mut engine = StreamingIdentifier::new(cfg(), BASE, INTERVAL);
     let before = engine.push_chunk(&records[..CUT]);
     assert_eq!(before.len(), 3);
@@ -117,7 +81,7 @@ fn engine_checkpoint_bytes_and_continuation_are_pinned() {
     got.extend(restored.flush());
 
     assert!(want.len() >= 4, "the continuation must evaluate windows");
-    assert_eq!(debug(&got), debug(&want), "restored continuation diverged");
+    assert_eq!(got, want, "restored continuation diverged");
     assert_eq!(
         serde_json::to_string(&restored.checkpoint()).unwrap(),
         serde_json::to_string(&engine.checkpoint()).unwrap(),
@@ -127,7 +91,10 @@ fn engine_checkpoint_bytes_and_continuation_are_pinned() {
 
 #[test]
 fn fleet_checkpoint_bytes_and_continuation_are_pinned() {
-    let paths = [stream("DLLLLDDDDD", 0), stream("DDDDDDDDDD", 7)];
+    let paths = [
+        common::blocks("DLLLLDDDDD", PER, 0).records,
+        common::blocks("DDDDDDDDDD", PER, 7).records,
+    ];
     let build = || {
         let mut fleet = StreamingFleet::new(Some(1));
         for _ in &paths {
@@ -149,7 +116,7 @@ fn fleet_checkpoint_bytes_and_continuation_are_pinned() {
         for (p, tail) in fleet.flush_all().into_iter().enumerate() {
             updates[p].extend(tail);
         }
-        updates.iter().map(|u| debug(u)).collect::<Vec<_>>()
+        updates
     };
 
     let mut fleet = build();

@@ -8,6 +8,9 @@
 //! replays identically everywhere; the fault plans themselves are the
 //! random inputs ([`FaultPlan::sampled`] is deterministic in its seed).
 
+mod common;
+
+use common::dominant_trace;
 use dominant_congested_links::faults::FaultPlan;
 use dominant_congested_links::hmm;
 use dominant_congested_links::identification::identify::{identify, IdentifyConfig, ModelKind};
@@ -16,33 +19,8 @@ use dominant_congested_links::mmhd;
 use dominant_congested_links::netsim::packet::ProbeStamp;
 use dominant_congested_links::netsim::sim::ProbeRecord;
 use dominant_congested_links::netsim::time::{Dur, Time};
-use dominant_congested_links::netsim::trace::ProbeTrace;
+use dominant_congested_links::netsim::trace::{ProbeTrace, TraceSanitation};
 use dominant_congested_links::probnum::Obs;
-
-/// Synthetic dominant-congested-link trace (losses only inside high-delay
-/// bursts), cheap enough to sweep many fault plans over.
-fn dominant_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
 
 fn cfg_for(model: ModelKind) -> IdentifyConfig {
     IdentifyConfig {
@@ -124,7 +102,11 @@ fn identity_plan_is_bitwise_invisible_at_every_parallelism() {
         ModelKind::Hmm { num_states: 2 },
     ] {
         let base = identify(&trace, &cfg_for(model)).expect("clean trace fits");
-        assert!(base.warnings.is_empty(), "clean trace must not warn");
+        assert_eq!(
+            base.sanitation,
+            TraceSanitation::default(),
+            "clean trace must not be repaired"
+        );
         for parallelism in [Some(1), Some(2), None] {
             let cfg = IdentifyConfig {
                 parallelism,
@@ -157,8 +139,9 @@ fn repairable_impairments_yield_warnings_not_errors() {
     assert!(report.total_affected() > 0);
     let r = identify(&impaired, &cfg_for(ModelKind::Mmhd { num_hidden: 2 }))
         .expect("light impairments must not kill the pipeline");
-    assert!(
-        !r.warnings.is_empty(),
+    assert_ne!(
+        r.sanitation,
+        TraceSanitation::default(),
         "repairs must be reported: {report:?}"
     );
     assert_report_sane(&r, "repairable impairments");

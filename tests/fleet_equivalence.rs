@@ -1,72 +1,16 @@
 //! The fleet equivalence contract: `Fleet::identify_all` — one pool item
 //! per path, on any number of threads — must produce per path a report *bitwise
 //! identical* to running the single-path pipeline on that trace alone.
-//! Equality is checked on `f64::to_bits`: the pool changes which thread
+//! `assert_eq!` on the reports compares every float by `f64::to_bits`
+//! (the report types' `==`): the pool changes which thread
 //! fits a path and in what order, but must never change a single
 //! floating-point operation within one path's fit.
 
+mod common;
+
+use common::Pattern;
 use dominant_congested_links::fleet::{Fleet, FleetConfig};
 use dominant_congested_links::identification::identify::{identify, IdentifyConfig};
-use dominant_congested_links::netsim::packet::ProbeStamp;
-use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
-use dominant_congested_links::netsim::ProbeTrace;
-
-/// Deterministic trace with losses inside high-delay bursts; `offset`
-/// shifts the phase so distinct paths differ.
-fn dominant_trace(n: usize, offset: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = (i + offset) % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
-
-/// Loss-free trace: `identify` rejects it with a typed error, exercising
-/// the fleet's error-in-place contract.
-fn lossless_trace(n: usize) -> ProbeTrace {
-    let records = (0..n)
-        .map(|i| {
-            let sent = Time::from_secs(i as f64 * 0.02);
-            let stamp = ProbeStamp::new(i as u64, None, sent);
-            ProbeRecord {
-                stamp,
-                arrival: Some(sent + Dur::from_millis(25.0 + (i % 50) as f64)),
-            }
-        })
-        .collect();
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(20.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
-fn assert_slices_bitwise(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_bits_eq(*x, *y, &format!("{what}[{i}]"));
-    }
-}
 
 fn quick_identify_cfg() -> IdentifyConfig {
     IdentifyConfig {
@@ -77,35 +21,24 @@ fn quick_identify_cfg() -> IdentifyConfig {
     }
 }
 
-fn assert_identification_bitwise(
-    a: &dominant_congested_links::identification::identify::Identification,
-    b: &dominant_congested_links::identification::identify::Identification,
-    what: &str,
-) {
-    assert_eq!(a.verdict, b.verdict, "{what}");
-    assert_eq!(a.num_probes, b.num_probes, "{what}");
-    assert_bits_eq(a.loss_rate, b.loss_rate, what);
-    assert_eq!(a.bin_width, b.bin_width, "{what}");
-    for (oa, ob) in [(&a.sdcl, &b.sdcl), (&a.wdcl, &b.wdcl)] {
-        assert_eq!(oa.accepted, ob.accepted, "{what}");
-        assert_eq!(oa.d_star, ob.d_star, "{what}");
-        assert_bits_eq(oa.f_at_2d_star, ob.f_at_2d_star, what);
-        assert_bits_eq(oa.threshold, ob.threshold, what);
-    }
-    assert_slices_bitwise(a.pmf.mass(), b.pmf.mass(), what);
-}
-
 /// Parallel `identify_all` over a mixed fleet — usable, unusable, and
 /// differently sized traces — reproduces the
 /// single-path pipeline bit for bit on every path, errors in place.
 #[test]
 fn fleet_identify_all_matches_scalar_identify_bitwise() {
+    // The dominant pattern, `offset` shifting the phase so paths differ.
+    let dominant = |n, offset| {
+        common::trace(n, |_| Pattern::Dominant {
+            burst_ms: 165.0,
+            offset,
+        })
+    };
     let traces = [
-        dominant_trace(1_200, 0),
-        dominant_trace(1_200, 11),
-        lossless_trace(400),
-        dominant_trace(900, 5),
-        dominant_trace(1_200, 19),
+        dominant(1_200, 0),
+        dominant(1_200, 11),
+        common::trace(400, |_| Pattern::Lossless),
+        dominant(900, 5),
+        dominant(1_200, 19),
     ];
     let cfg = FleetConfig {
         identify: quick_identify_cfg(),
@@ -120,12 +53,10 @@ fn fleet_identify_all_matches_scalar_identify_bitwise() {
     assert_eq!(report.summary.paths, traces.len());
     assert_eq!(report.summary.unidentifiable, 1);
     for (i, trace) in traces.iter().enumerate() {
-        let want = identify(trace, &cfg.identify);
-        let got = &report.verdicts[i].result;
-        match (got, &want) {
-            (Ok(g), Ok(w)) => assert_identification_bitwise(g, w, &format!("fleet path {i}")),
-            (Err(ge), Err(we)) => assert_eq!(ge, we, "fleet path {i}"),
-            _ => panic!("fleet path {i}: fleet and scalar disagree on usability"),
-        }
+        assert_eq!(
+            report.verdicts[i].result,
+            identify(trace, &cfg.identify),
+            "fleet path {i}"
+        );
     }
 }

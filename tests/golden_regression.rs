@@ -13,6 +13,9 @@
 //!
 //! and commit the updated fixtures with the change that motivated them.
 
+mod common;
+
+use common::dominant_trace;
 use dcl_bench::settings::TABLE2;
 use dcl_bench::{light_identify, migrating_trace, verdict_label, WARMUP_SECS};
 use dominant_congested_links::identification::identify::identify;
@@ -20,10 +23,6 @@ use dominant_congested_links::identification::sweep::{duration_sweep, SweepConfi
 use dominant_congested_links::identification::{
     StreamConfig, StreamingIdentifier, Transition, WindowSpec,
 };
-use dominant_congested_links::netsim::packet::ProbeStamp;
-use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
-use dominant_congested_links::netsim::ProbeTrace;
 use serde_json::{json, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -103,31 +102,6 @@ fn table2_verdict_vector_matches_golden() {
         "table2_verdicts.json",
         &json!({ "measure_secs": measure, "rows": rows }),
     );
-}
-
-/// Deterministic trace with losses inside high-delay bursts (a dominant
-/// congested link pattern).
-fn dominant_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
 }
 
 /// A full `SweepResult` from a fixed seed on a deterministic trace —

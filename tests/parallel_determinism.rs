@@ -1,71 +1,28 @@
 //! Determinism guarantees of the parallel execution layer: every parallel
 //! entry point — HMM fit, MMHD fit, duration sweep, streaming windowed
-//! identification — must produce *bitwise-identical* results at
-//! parallelism 1, 2, and the machine default. Equality is checked on `f64::to_bits`, not with tolerances:
-//! the parallel layer distributes work but must never change a single
+//! identification, fleet — must produce *bitwise-identical* results at
+//! parallelism 1, 2, and the machine default. Reports are compared with
+//! `assert_eq!`, whose `==` on the report types compares every float by
+//! `f64::to_bits`; model fits are compared through [`common::bits`]. The
+//! parallel layer distributes work but must never change a single
 //! floating-point operation.
 
+mod common;
+
+use common::{bits, dominant_trace, synth_obs, Pattern};
 use dominant_congested_links::identification::identify::IdentifyConfig;
-use dominant_congested_links::identification::sweep::{duration_sweep, SweepConfig, SweepResult};
-use dominant_congested_links::netsim::packet::ProbeStamp;
-use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
+use dominant_congested_links::identification::sweep::{duration_sweep, SweepConfig};
 use dominant_congested_links::netsim::ProbeTrace;
-use dominant_congested_links::probnum::Obs;
+use dominant_congested_links::probnum::em::EmModel;
 use dominant_congested_links::{hmm, mmhd};
 
 /// Thread counts every guarantee is checked across: the exact serial
 /// path, a fixed small pool, and whatever this machine resolves to.
 const PARALLELISMS: [Option<usize>; 3] = [Some(1), Some(2), None];
 
-/// Synthetic observation sequence with bursty high-delay/loss episodes.
-fn synth_obs(t: usize, m: usize) -> Vec<Obs> {
-    (0..t)
-        .map(|i| {
-            let phase = i % 50;
-            if phase == 40 {
-                Obs::Loss
-            } else if phase > 35 {
-                Obs::Sym(m as u16)
-            } else {
-                Obs::Sym(1 + ((i * 7) % (m - 1)) as u16)
-            }
-        })
-        .collect()
-}
-
-/// Deterministic trace with losses inside high-delay bursts (a dominant
-/// congested link pattern).
-fn dominant_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
 #[test]
 fn hmm_fit_is_bitwise_identical_at_every_thread_count() {
-    let obs = synth_obs(2_000, 5);
+    let obs = synth_obs(2_000, 5, 0);
     let opts = |parallelism| hmm::EmOptions {
         num_hidden: 2,
         num_symbols: 5,
@@ -77,38 +34,26 @@ fn hmm_fit_is_bitwise_identical_at_every_thread_count() {
         budget: None,
         settings: (),
     };
-    let reference = hmm::fit(&obs, &opts(Some(1)));
+    // Every fact of the fit, each float by its bits.
+    let facts = |fit: &hmm::FitResult| {
+        (
+            fit.log_likelihood.to_bits(),
+            fit.iterations,
+            fit.converged,
+            fit.guard_trips,
+            fit.degraded,
+            fit.model.params().map(bits).collect::<Vec<_>>(),
+        )
+    };
+    let reference = facts(&hmm::fit(&obs, &opts(Some(1))));
     for p in PARALLELISMS {
-        let fit = hmm::fit(&obs, &opts(p));
-        assert_bits_eq(
-            fit.log_likelihood,
-            reference.log_likelihood,
-            &format!("hmm log_likelihood at parallelism {p:?}"),
-        );
-        assert_eq!(fit.iterations, reference.iterations, "at {p:?}");
-        assert_eq!(fit.converged, reference.converged, "at {p:?}");
-        assert_eq!(fit.model.initial(), reference.model.initial(), "at {p:?}");
-        assert_eq!(
-            fit.model.transition().as_slice(),
-            reference.model.transition().as_slice(),
-            "at {p:?}"
-        );
-        assert_eq!(
-            fit.model.emission().as_slice(),
-            reference.model.emission().as_slice(),
-            "at {p:?}"
-        );
-        assert_eq!(
-            fit.model.loss_probs(),
-            reference.model.loss_probs(),
-            "at {p:?}"
-        );
+        assert_eq!(facts(&hmm::fit(&obs, &opts(p))), reference, "at {p:?}");
     }
 }
 
 #[test]
 fn mmhd_fit_is_bitwise_identical_at_every_thread_count() {
-    let obs = synth_obs(2_000, 5);
+    let obs = synth_obs(2_000, 5, 0);
     let opts = |parallelism| mmhd::EmOptions {
         num_hidden: 2,
         num_symbols: 5,
@@ -123,40 +68,19 @@ fn mmhd_fit_is_bitwise_identical_at_every_thread_count() {
             tied_loss: false,
         },
     };
-    let reference = mmhd::fit(&obs, &opts(Some(1)));
+    let facts = |fit: &mmhd::FitResult| {
+        (
+            fit.log_likelihood.to_bits(),
+            fit.iterations,
+            fit.converged,
+            fit.guard_trips,
+            fit.degraded,
+            fit.model.params().map(bits).collect::<Vec<_>>(),
+        )
+    };
+    let reference = facts(&mmhd::fit(&obs, &opts(Some(1))));
     for p in PARALLELISMS {
-        let fit = mmhd::fit(&obs, &opts(p));
-        assert_bits_eq(
-            fit.log_likelihood,
-            reference.log_likelihood,
-            &format!("mmhd log_likelihood at parallelism {p:?}"),
-        );
-        assert_eq!(fit.iterations, reference.iterations, "at {p:?}");
-        assert_eq!(fit.converged, reference.converged, "at {p:?}");
-        assert_eq!(fit.model.initial(), reference.model.initial(), "at {p:?}");
-        assert_eq!(
-            fit.model.transition().as_slice(),
-            reference.model.transition().as_slice(),
-            "at {p:?}"
-        );
-        assert_eq!(
-            fit.model.loss_probs(),
-            reference.model.loss_probs(),
-            "at {p:?}"
-        );
-    }
-}
-
-fn assert_sweeps_identical(a: &SweepResult, b: &SweepResult, what: &str) {
-    assert_eq!(a.reference_dominant, b.reference_dominant, "{what}");
-    assert_eq!(a.points.len(), b.points.len(), "{what}");
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_bits_eq(pa.duration_secs, pb.duration_secs, what);
-        assert_bits_eq(pa.match_ratio, pb.match_ratio, what);
-        assert_bits_eq(pa.match_ci.0, pb.match_ci.0, what);
-        assert_bits_eq(pa.match_ci.1, pb.match_ci.1, what);
-        assert_bits_eq(pa.unusable_ratio, pb.unusable_ratio, what);
-        assert_eq!(pa.repetitions, pb.repetitions, "{what}");
+        assert_eq!(facts(&mmhd::fit(&obs, &opts(p))), reference, "at {p:?}");
     }
 }
 
@@ -177,11 +101,11 @@ fn duration_sweep_is_bitwise_identical_at_every_thread_count() {
     let reference = duration_sweep(&trace, &cfg(Some(1))).expect("usable trace");
     for p in PARALLELISMS {
         let result = duration_sweep(&trace, &cfg(p)).expect("usable trace");
-        assert_sweeps_identical(&result, &reference, &format!("sweep at parallelism {p:?}"));
+        assert_eq!(result, reference, "sweep at parallelism {p:?}");
     }
 }
 
-use dominant_congested_links::identification::identify::{identify, Identification};
+use dominant_congested_links::identification::identify::identify;
 use dominant_congested_links::metrics::{self, obs};
 
 /// Run `f` uninstrumented. No capture is open on this thread, so it and
@@ -193,54 +117,6 @@ fn uninstrumented<R>(f: impl FnOnce() -> R) -> R {
         "the baseline run would record"
     );
     f()
-}
-
-fn assert_identifications_identical(a: &Identification, b: &Identification, what: &str) {
-    assert_eq!(a.verdict, b.verdict, "{what}");
-    assert_eq!(a.num_probes, b.num_probes, "{what}");
-    assert_bits_eq(a.loss_rate, b.loss_rate, what);
-    assert_eq!(a.bin_width, b.bin_width, "{what}");
-    for (outcome_a, outcome_b) in [(&a.sdcl, &b.sdcl), (&a.wdcl, &b.wdcl)] {
-        assert_eq!(outcome_a.accepted, outcome_b.accepted, "{what}");
-        assert_eq!(outcome_a.d_star, outcome_b.d_star, "{what}");
-        assert_bits_eq(outcome_a.f_at_2d_star, outcome_b.f_at_2d_star, what);
-        assert_bits_eq(outcome_a.threshold, outcome_b.threshold, what);
-    }
-    assert_eq!(a.pmf.mass().len(), b.pmf.mass().len(), "{what}");
-    for (ma, mb) in a.pmf.mass().iter().zip(b.pmf.mass()) {
-        assert_bits_eq(*ma, *mb, what);
-    }
-    // Provenance is part of the deterministic contract too: the same
-    // fit must be *explained* identically at every thread count.
-    assert_eq!(
-        a.provenance.model, b.provenance.model,
-        "{what}: provenance model"
-    );
-    assert_eq!(
-        (
-            a.provenance.warm,
-            a.provenance.restarts,
-            a.provenance.iterations
-        ),
-        (
-            b.provenance.warm,
-            b.provenance.restarts,
-            b.provenance.iterations
-        ),
-        "{what}: provenance fit shape"
-    );
-    assert_eq!(
-        (a.provenance.converged, a.provenance.guard_trips),
-        (b.provenance.converged, b.provenance.guard_trips),
-        "{what}: provenance convergence"
-    );
-    assert_bits_eq(
-        a.provenance.log_likelihood,
-        b.provenance.log_likelihood,
-        &format!("{what}: provenance log-likelihood"),
-    );
-    assert_bits_eq(a.provenance.sdcl_margin, b.provenance.sdcl_margin, what);
-    assert_bits_eq(a.provenance.wdcl_margin, b.provenance.wdcl_margin, what);
 }
 
 /// The observability tentpole guarantee: with instrumentation on, both
@@ -274,10 +150,9 @@ fn instrumented_identify_stream_and_results_identical_at_every_thread_count() {
         );
     }
     for (p, result, stream) in &runs[1..] {
-        assert_identifications_identical(
-            result,
-            ref_result,
-            &format!("instrumented identify at parallelism {p:?}"),
+        assert_eq!(
+            result, ref_result,
+            "instrumented identify at parallelism {p:?}"
         );
         assert_eq!(
             stream.len(),
@@ -312,7 +187,7 @@ fn enabling_instrumentation_changes_no_identify_bit() {
         !metrics.snapshot().is_empty(),
         "metrics-on run folded nothing"
     );
-    assert_identifications_identical(&on, &off, "obs on vs off");
+    assert_eq!(on, off, "obs on vs off");
 }
 
 /// The metrics tentpole guarantee: the registry snapshot of an
@@ -349,10 +224,9 @@ fn metrics_snapshot_bitwise_identical_at_every_thread_count() {
         );
     }
     for (p, result, snapshot) in &runs[1..] {
-        assert_identifications_identical(
-            result,
-            ref_result,
-            &format!("metrics-instrumented identify at parallelism {p:?}"),
+        assert_eq!(
+            result, ref_result,
+            "metrics-instrumented identify at parallelism {p:?}"
         );
         assert_eq!(
             snapshot, ref_snapshot,
@@ -369,27 +243,10 @@ use dominant_congested_links::identification::{
 /// and ~380 ms bursts in the second, so the loss-delay mode — and with
 /// it the verdict-transition stream — moves mid-run.
 fn shifting_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let burst_ms = if i < n / 2 { 165.0 } else { 380.0 };
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(burst_ms + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
+    common::trace(n, |i| Pattern::Dominant {
+        burst_ms: if i < n / 2 { 165.0 } else { 380.0 },
+        offset: 0,
+    })
 }
 
 fn stream_cfg(parallelism: Option<usize>) -> StreamConfig {
@@ -404,27 +261,6 @@ fn stream_cfg(parallelism: Option<usize>) -> StreamConfig {
             ..IdentifyConfig::default()
         },
         supervise: false,
-    }
-}
-
-/// Window-by-window equality: positions, warm flags, transitions, and —
-/// for usable windows — the full bitwise report comparison.
-fn assert_updates_identical(a: &[StreamUpdate], b: &[StreamUpdate], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: window count");
-    for (ua, ub) in a.iter().zip(b) {
-        let at = format!("{what}: window {}", ua.window_index);
-        assert_eq!(ua.window_index, ub.window_index, "{at}");
-        assert_eq!(
-            (ua.first_seq, ua.last_seq, ua.window_len, ua.warm),
-            (ub.first_seq, ub.last_seq, ub.window_len, ub.warm),
-            "{at}"
-        );
-        assert_eq!(ua.transition, ub.transition, "{at}: transition");
-        match (&ua.result, &ub.result) {
-            (Ok(ra), Ok(rb)) => assert_identifications_identical(ra, rb, &at),
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{at}"),
-            _ => panic!("{at}: window usability differs"),
-        }
     }
 }
 
@@ -454,11 +290,7 @@ fn streaming_transitions_and_events_identical_at_every_thread_count() {
         "no verdict-transition event in the streaming run"
     );
     for (p, updates, stream) in &runs[1..] {
-        assert_updates_identical(
-            updates,
-            ref_updates,
-            &format!("streaming at parallelism {p:?}"),
-        );
+        assert_eq!(updates, ref_updates, "streaming at parallelism {p:?}");
         assert_eq!(
             stream.len(),
             ref_stream.len(),
@@ -492,10 +324,9 @@ fn streaming_metrics_snapshot_identical_at_every_thread_count() {
         );
     }
     for (p, updates, snapshot) in &runs[1..] {
-        assert_updates_identical(
-            updates,
-            ref_updates,
-            &format!("metrics-instrumented streaming at parallelism {p:?}"),
+        assert_eq!(
+            updates, ref_updates,
+            "metrics-instrumented streaming at parallelism {p:?}"
         );
         assert_eq!(
             snapshot, ref_snapshot,
@@ -571,10 +402,10 @@ fn enabling_instrumentation_changes_no_streaming_bit() {
 
     assert!(!events.is_empty(), "instrumented run emitted no events");
     assert!(!snapshot.is_empty(), "instrumented run folded no metrics");
-    assert_updates_identical(&on, &off, "streaming obs+metrics on vs off");
+    assert_eq!(on, off, "streaming obs+metrics on vs off");
 }
 
-use dominant_congested_links::fleet::{Fleet, FleetConfig, FleetReport};
+use dominant_congested_links::fleet::{Fleet, FleetConfig};
 
 /// A small mixed fleet: two dominant-link paths and one regime-shifting
 /// path, each path one pool item.
@@ -592,21 +423,6 @@ fn build_fleet(parallelism: Option<usize>) -> Fleet {
     fleet.push("path-b", shifting_trace(1_200));
     fleet.push("path-c", dominant_trace(900));
     fleet
-}
-
-fn assert_fleet_reports_identical(a: &FleetReport, b: &FleetReport, what: &str) {
-    assert_eq!(a.summary, b.summary, "{what}: summary");
-    assert_eq!(a.verdicts.len(), b.verdicts.len(), "{what}: path count");
-    for (va, vb) in a.verdicts.iter().zip(&b.verdicts) {
-        let at = format!("{what}: path {}", va.path);
-        assert_eq!(va.path, vb.path, "{at}");
-        assert_eq!(va.label, vb.label, "{at}");
-        match (&va.result, &vb.result) {
-            (Ok(ra), Ok(rb)) => assert_identifications_identical(ra, rb, &at),
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{at}"),
-            _ => panic!("{at}: path usability differs"),
-        }
-    }
 }
 
 /// The fleet determinism guarantee: per-path verdicts and the merged
@@ -633,7 +449,7 @@ fn fleet_verdicts_and_events_identical_at_every_thread_count() {
         "no verdict-provenance event in the fleet stream"
     );
     for (p, report, stream) in &runs[1..] {
-        assert_fleet_reports_identical(report, ref_report, &format!("fleet at parallelism {p:?}"));
+        assert_eq!(report, ref_report, "fleet at parallelism {p:?}");
         assert_eq!(
             stream.len(),
             ref_stream.len(),
@@ -668,10 +484,9 @@ fn fleet_metrics_snapshot_identical_at_every_thread_count() {
         Some(&(ref_report.summary.paths as u64))
     );
     for (p, report, snapshot) in &runs[1..] {
-        assert_fleet_reports_identical(
-            report,
-            ref_report,
-            &format!("metrics-instrumented fleet at parallelism {p:?}"),
+        assert_eq!(
+            report, ref_report,
+            "metrics-instrumented fleet at parallelism {p:?}"
         );
         assert_eq!(
             snapshot, ref_snapshot,
@@ -733,11 +548,7 @@ fn chrome_trace_export_identical_at_every_thread_count() {
         "no verdict-provenance instant in the chrome trace"
     );
     for (p, result, export) in &runs[1..] {
-        assert_identifications_identical(
-            result,
-            ref_result,
-            &format!("traced identify at parallelism {p:?}"),
-        );
+        assert_eq!(result, ref_result, "traced identify at parallelism {p:?}");
         assert_eq!(
             export, ref_export,
             "chrome trace export differs at parallelism {p:?}"
@@ -766,7 +577,7 @@ fn trace_capture_changes_no_identification_bit() {
     let export = obs::export_chrome_trace(&canonical);
     let stats = obs::validate_chrome_trace(&export).expect("well-formed chrome trace");
     assert!(stats.spans >= 1, "trace capture saw no spans");
-    assert_identifications_identical(&on, &off, "trace capture on vs off");
+    assert_eq!(on, off, "trace capture on vs off");
 }
 
 /// The environment default also pins the inner EM parallelism: an
@@ -788,8 +599,7 @@ fn identify_parallelism_setting_matches_serial_verdict() {
     };
     let a = identify(&trace, &serial).expect("usable trace");
     let b = identify(&trace, &parallel).expect("usable trace");
-    assert_eq!(a.verdict, b.verdict);
-    assert_bits_eq(a.wdcl.f_at_2d_star, b.wdcl.f_at_2d_star, "WDCL statistic");
+    assert_eq!(a, b);
 }
 
 use dominant_congested_links::identification::PathHealth;
@@ -835,7 +645,7 @@ fn checkpoint_restore_continuation_identical_at_every_thread_count() {
         let snapshot = restored.metrics.snapshot().canonical();
 
         let at = format!("restored stream at parallelism {p:?}");
-        assert_updates_identical(&updates, &ref_updates, &at);
+        assert_eq!(updates, ref_updates, "{at}");
         let ref_canonical: Vec<obs::Event> = ref_events.iter().map(obs::Event::canonical).collect();
         let canonical: Vec<obs::Event> = events.iter().map(obs::Event::canonical).collect();
         assert_eq!(
@@ -856,11 +666,7 @@ fn checkpoint_restore_continuation_identical_at_every_thread_count() {
         "no verdict-provenance event in the restored run"
     );
     for (p, updates, events, snapshot) in &runs[1..] {
-        assert_updates_identical(
-            updates,
-            ref_updates,
-            &format!("restored stream at parallelism {p:?}"),
-        );
+        assert_eq!(updates, ref_updates, "restored stream at parallelism {p:?}");
         assert_eq!(
             events, ref_events,
             "restored event stream differs at parallelism {p:?}"
@@ -869,36 +675,6 @@ fn checkpoint_restore_continuation_identical_at_every_thread_count() {
             snapshot, ref_snapshot,
             "restored metrics snapshot differs at parallelism {p:?}"
         );
-    }
-}
-
-/// Storm-then-recovery trace: the first `bad` windows of `per` records
-/// are loss-free (every evaluation errors with `no-losses`), the rest
-/// carry the dominant-link pattern.
-fn storm_trace(windows: usize, bad: usize, per: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(windows * per);
-    for i in 0..windows * per {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if i < bad * per {
-            Some(sent + Dur::from_millis(25.0 + (i % 50) as f64))
-        } else {
-            let phase = i % 25;
-            if phase == 19 || phase == 21 {
-                stamp.loss_hop = Some(1);
-                None
-            } else if phase >= 17 {
-                Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-            } else {
-                Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-            }
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
     }
 }
 
@@ -954,7 +730,7 @@ fn fault_storm_transition_sequence_is_golden_at_every_thread_count() {
     // backoff 2 hops), the 2500- and 3000-record evaluation points are
     // skipped (probation surfaces on the second), then two clean
     // dominant windows clear probation.
-    let trace = storm_trace(8, 4, 500);
+    let trace = common::blocks("LLLLDDDD", 500, 0);
     let golden: Vec<(String, String, String, u64, u64)> = [
         ("healthy", "degraded", "errors", 0u64, 1u64),
         ("degraded", "quarantined", "errors", 2, 3),
@@ -991,7 +767,7 @@ fn fault_storm_transition_sequence_is_golden_at_every_thread_count() {
             golden,
             "{at}: restored transition sequence"
         );
-        assert_updates_identical(&restored_updates, &updates, &at);
+        assert_eq!(restored_updates, updates, "{at}");
         assert_eq!(
             restored, canonical,
             "{at}: event stream differs after restore"
@@ -1004,7 +780,7 @@ fn fault_storm_transition_sequence_is_golden_at_every_thread_count() {
     // quarantined skips leave 6 evaluated windows.
     assert_eq!(ref_updates.len(), 6, "evaluated-window count");
     for (p, updates, events) in &runs[1..] {
-        assert_updates_identical(updates, ref_updates, &format!("storm at parallelism {p:?}"));
+        assert_eq!(updates, ref_updates, "storm at parallelism {p:?}");
         assert_eq!(
             events, ref_events,
             "storm event stream differs at parallelism {p:?}"

@@ -1,65 +1,18 @@
 //! Batch equivalence of the streaming engine: a [`StreamingIdentifier`]
 //! whose window covers the entire trace must reproduce the batch
-//! `identify()` report **bit for bit** (`f64::to_bits` on every float,
-//! not tolerances) for both model backends. The streaming path *is* the
+//! `identify()` report **bit for bit** (`assert_eq!` on the reports, whose
+//! `==` compares every float by `f64::to_bits`) for both model backends. The streaming path *is* the
 //! batch path — `identify_fitted` with no warm state on the first window
 //! — and this suite pins that structural guarantee as a behavioural one.
 
+mod common;
+
+use common::dominant_trace;
 use dominant_congested_links::identification::identify::{
     identify, Identification, IdentifyConfig, ModelKind,
 };
 use dominant_congested_links::identification::{StreamConfig, StreamingIdentifier, WindowSpec};
-use dominant_congested_links::netsim::packet::ProbeStamp;
-use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
 use dominant_congested_links::netsim::ProbeTrace;
-
-/// Deterministic trace with losses inside high-delay bursts (a dominant
-/// congested link pattern).
-fn dominant_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
-/// Full bitwise comparison: structural equality first (covers verdicts,
-/// test outcomes, warnings, bounds), then `to_bits` on every float so
-/// that even `0.0` vs `-0.0` or a NaN sneaking in cannot slip through
-/// `f64::eq`.
-fn assert_reports_bit_identical(a: &Identification, b: &Identification, what: &str) {
-    assert_eq!(a, b, "{what}: reports differ structurally");
-    assert_bits_eq(a.loss_rate, b.loss_rate, &format!("{what}: loss_rate"));
-    assert_eq!(a.bin_width, b.bin_width, "{what}: bin_width");
-    for (oa, ob) in [(&a.sdcl, &b.sdcl), (&a.wdcl, &b.wdcl)] {
-        assert_bits_eq(oa.f_at_2d_star, ob.f_at_2d_star, &format!("{what}: F(2d*)"));
-        assert_bits_eq(oa.threshold, ob.threshold, &format!("{what}: threshold"));
-    }
-    assert_eq!(a.pmf.mass().len(), b.pmf.mass().len(), "{what}: pmf bins");
-    for (ma, mb) in a.pmf.mass().iter().zip(b.pmf.mass()) {
-        assert_bits_eq(*ma, *mb, &format!("{what}: pmf mass"));
-    }
-}
 
 fn cfg_for(model: ModelKind) -> IdentifyConfig {
     IdentifyConfig {
@@ -95,7 +48,7 @@ fn full_window_stream_equals_batch_mmhd() {
     let cfg = cfg_for(ModelKind::Mmhd { num_hidden: 2 });
     let batch = identify(&trace, &cfg).expect("usable trace");
     let streamed = stream_full_window(&trace, &cfg);
-    assert_reports_bit_identical(&streamed, &batch, "mmhd full-window");
+    assert_eq!(streamed, batch, "mmhd full-window");
 }
 
 #[test]
@@ -104,7 +57,7 @@ fn full_window_stream_equals_batch_hmm() {
     let cfg = cfg_for(ModelKind::Hmm { num_states: 2 });
     let batch = identify(&trace, &cfg).expect("usable trace");
     let streamed = stream_full_window(&trace, &cfg);
-    assert_reports_bit_identical(&streamed, &batch, "hmm full-window");
+    assert_eq!(streamed, batch, "hmm full-window");
 }
 
 /// The equivalence includes the fine-discretisation bound stage: with
@@ -124,7 +77,7 @@ fn full_window_stream_equals_batch_with_bounds() {
         streamed.bound_heuristic, batch.bound_heuristic,
         "heuristic bound"
     );
-    assert_reports_bit_identical(&streamed, &batch, "mmhd full-window with bounds");
+    assert_eq!(streamed, batch, "mmhd full-window with bounds");
 }
 
 /// A window larger than the stream never comes due; `flush` must then
@@ -145,5 +98,5 @@ fn oversized_window_flush_equals_batch() {
     assert!(engine.push_chunk(&trace.records).is_empty());
     let update = engine.flush().expect("flush evaluates the tail");
     let streamed = update.result.expect("full trace is usable");
-    assert_reports_bit_identical(&streamed, &batch, "oversized-window flush");
+    assert_eq!(streamed, batch, "oversized-window flush");
 }

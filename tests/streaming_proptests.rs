@@ -14,6 +14,9 @@
 //!   fault-injection stacks, and a dimension-mismatched warm init falls
 //!   back bitwise to the cold restart schedule.
 
+mod common;
+
+use common::{dominant_trace, synth_obs};
 use dominant_congested_links::faults::FaultPlan;
 use dominant_congested_links::hmm;
 use dominant_congested_links::identification::identify::{IdentifyConfig, ModelKind};
@@ -21,36 +24,8 @@ use dominant_congested_links::identification::{
     StreamConfig, StreamUpdate, StreamingIdentifier, WindowSpec,
 };
 use dominant_congested_links::mmhd;
-use dominant_congested_links::netsim::packet::ProbeStamp;
-use dominant_congested_links::netsim::sim::ProbeRecord;
-use dominant_congested_links::netsim::time::{Dur, Time};
+use dominant_congested_links::netsim::time::Dur;
 use dominant_congested_links::netsim::trace::ProbeTrace;
-use dominant_congested_links::probnum::Obs;
-
-/// Deterministic trace with losses inside high-delay bursts (a dominant
-/// congested link pattern).
-fn dominant_trace(n: usize) -> ProbeTrace {
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let sent = Time::from_secs(i as f64 * 0.02);
-        let phase = i % 25;
-        let mut stamp = ProbeStamp::new(i as u64, None, sent);
-        let arrival = if phase == 19 || phase == 21 {
-            stamp.loss_hop = Some(1);
-            None
-        } else if phase >= 17 {
-            Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
-        } else {
-            Some(sent + Dur::from_millis(25.0 + ((i * 11) % 100) as f64))
-        };
-        records.push(ProbeRecord { stamp, arrival });
-    }
-    ProbeTrace {
-        records,
-        base_delay: Dur::from_millis(22.0),
-        interval: Dur::from_millis(20.0),
-    }
-}
 
 fn stream_cfg(window: usize, hop: usize, warm_start: bool, model: ModelKind) -> StreamConfig {
     StreamConfig {
@@ -65,47 +40,6 @@ fn stream_cfg(window: usize, hop: usize, warm_start: bool, model: ModelKind) -> 
             ..IdentifyConfig::default()
         },
         supervise: false,
-    }
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
-/// Window-by-window equality, floats compared by `to_bits`.
-fn assert_updates_identical(a: &[StreamUpdate], b: &[StreamUpdate], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: window count");
-    for (ua, ub) in a.iter().zip(b) {
-        let at = format!("{what}: window {}", ua.window_index);
-        assert_eq!(
-            (
-                ua.window_index,
-                ua.first_seq,
-                ua.last_seq,
-                ua.window_len,
-                ua.warm
-            ),
-            (
-                ub.window_index,
-                ub.first_seq,
-                ub.last_seq,
-                ub.window_len,
-                ub.warm
-            ),
-            "{at}"
-        );
-        assert_eq!(ua.transition, ub.transition, "{at}: transition");
-        match (&ua.result, &ub.result) {
-            (Ok(ra), Ok(rb)) => {
-                assert_eq!(ra, rb, "{at}: reports differ structurally");
-                assert_bits_eq(ra.loss_rate, rb.loss_rate, &at);
-                for (ma, mb) in ra.pmf.mass().iter().zip(rb.pmf.mass()) {
-                    assert_bits_eq(*ma, *mb, &at);
-                }
-            }
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{at}"),
-            _ => panic!("{at}: window usability differs"),
-        }
     }
 }
 
@@ -155,12 +89,12 @@ fn arbitrary_chunk_splits_yield_identical_window_streams() {
     let fixed: &[&[usize]] = &[&[1], &[7], &[64], &[3, 11, 1, 29, 5, 2, 17]];
     for sizes in fixed {
         let updates = run_chunked(&trace, cfg, sizes);
-        assert_updates_identical(&updates, &reference, &format!("chunk sizes {sizes:?}"));
+        assert_eq!(updates, reference, "chunk sizes {sizes:?}");
     }
     for seed in 0..4u64 {
         let sizes = lcg_sizes(seed, 64);
         let updates = run_chunked(&trace, cfg, &sizes);
-        assert_updates_identical(&updates, &reference, &format!("LCG chunk seed {seed}"));
+        assert_eq!(updates, reference, "LCG chunk seed {seed}");
     }
 }
 
@@ -182,7 +116,7 @@ fn chunk_splits_cannot_move_evaluation_points() {
     for seed in 10..16u64 {
         let sizes = lcg_sizes(seed, 48);
         let updates = run_chunked(&trace, cfg, &sizes);
-        assert_updates_identical(&updates, &reference, &format!("LCG chunk seed {seed}"));
+        assert_eq!(updates, reference, "LCG chunk seed {seed}");
     }
 }
 
@@ -310,27 +244,9 @@ fn checkpoints_round_trip_and_restore_identically_at_arbitrary_cuts() {
             let mut engine = StreamingIdentifier::restore(cfg, back).expect("restores");
             updates.extend(engine.push_chunk(&trace.records[cut..]));
             updates.extend(engine.flush());
-            assert_updates_identical(&updates, &reference, &at);
+            assert_eq!(updates, reference, "{at}");
         }
     }
-}
-
-/// Synthetic observation sequence with bursty high-delay/loss episodes;
-/// `salt` perturbs the burst positions so warm inits meet data they were
-/// not fitted on.
-fn synth_obs(t: usize, m: usize, salt: usize) -> Vec<Obs> {
-    (0..t)
-        .map(|i| {
-            let phase = (i + salt * 13) % 50;
-            if phase == 40 {
-                Obs::Loss
-            } else if phase > 35 {
-                Obs::Sym(m as u16)
-            } else {
-                Obs::Sym(1 + ((i * 7 + salt) % (m - 1)) as u16)
-            }
-        })
-        .collect()
 }
 
 fn hmm_opts(num_hidden: usize) -> hmm::EmOptions {
