@@ -42,8 +42,9 @@
 #   perf         the `perf --quick` ladder into a temp report (the committed
 #                BENCH_perf.json is a full run); the report and a
 #                `--metrics` snapshot must validate;
-#   resilience   the recovery bin's fault storm with in-process
-#                kill/restore, then a two-process streaming kill/restore;
+#   resilience   the recovery bin's in-process fleet kill/restore across
+#                unusable windows and a contained panic, then a
+#                two-process streaming kill/restore;
 #   clippy       the whole workspace, all targets, warnings denied; no
 #                read of forward–backward rows (`alpha_row`, `beta_row`,
 #                `beta_on_support`) in the models or dcl-core; and no call
@@ -196,12 +197,12 @@ job_perf() {
 
 job_resilience() {
   # The recovery bin asserts that the restored continuation is bitwise
-  # identical to an uninterrupted twin and that the storm and panic paths
-  # recover through probation; here its health-transition events and its
-  # mid-storm fleet checkpoint are validated too.
+  # identical to an uninterrupted twin, across a run of unusable windows
+  # and a contained panic; here its verdict-transition events and its
+  # mid-run fleet checkpoint are validated too.
   bin recovery --obs "$TMP/recovery.jsonl" --checkpoint "$TMP/recovery-ck.json"
   bin obs_check "$TMP/recovery.jsonl" 3
-  grep -q '"kind":"path-health-transition"' "$TMP/recovery.jsonl"
+  grep -q '"kind":"verdict-transition"' "$TMP/recovery.jsonl"
   bin obs_check --checkpoint "$TMP/recovery-ck.json"
   # Kill/restore across two processes: snapshot half the stream, restore,
   # finish.

@@ -190,7 +190,6 @@ fn main() {
         hop: if quick { 400 } else { 1000 },
         warm_start: true,
         identify: dcl_bench::light_identify(),
-        supervise: false,
     };
     let windows = StreamingIdentifier::run_trace(&traces[0], stream_cfg).len() as u64;
     let stream_wall = t.elapsed().as_nanos() as u64;

@@ -1,35 +1,31 @@
-//! **Recovery** — fault-storm supervision and kill/restore replay over a
-//! supervised streaming fleet.
+//! **Recovery** — kill/restore replay over a streaming fleet.
 //!
-//! Four paths share one supervised [`StreamingFleet`] (window-hop health
-//! supervision, bounded-work [`EmBudget`]):
+//! Four paths share one [`StreamingFleet`]:
 //!
-//! * a *storm* path whose first windows are unusable (no losses), driving
-//!   it `Healthy → Degraded → Quarantined`, through the deterministic
-//!   backoff to `Probation`, and — once its windows carry a dominant
-//!   congested link again — back to `Healthy`;
-//! * two *steady* dominant-link paths that stay healthy throughout;
+//! * a *lossless* path whose middle windows carry no losses: they are
+//!   unusable (`no-losses`), keep the last usable verdict, and straddle
+//!   the checkpoint;
+//! * two *steady* dominant-link paths;
 //! * a *panic* path whose first window evaluation panics (injected
-//!   fault): the fleet contains the panic, force-quarantines the path,
-//!   and walks it through the same probation cycle.
+//!   fault): the fleet contains the panic, the window yields no update,
+//!   and the path evaluates again at its next evaluation point.
 //!
-//! Halfway through the storm the fleet is checkpointed, dropped ("kill"),
+//! Halfway through, the fleet is checkpointed, dropped ("kill"),
 //! deserialised, and restored; the continuation's window updates are
-//! asserted bitwise equal to an uninterrupted twin — quarantine schedules
-//! included. `--checkpoint <path>` additionally writes the mid-run
-//! [`FleetCheckpoint`] JSON for external inspection.
+//! asserted bitwise equal to an uninterrupted twin. `--checkpoint <path>`
+//! additionally writes the mid-run [`FleetCheckpoint`] JSON for external
+//! inspection.
 //!
 //! Run: `cargo run --release -p dcl-bench --bin recovery \
 //!       [--obs <path>] [--metrics <path>] [--checkpoint <path>]`
 
 use dcl_bench::{print_header, print_row};
-use dcl_core::identify::IdentifyConfig;
-use dcl_core::{PathHealth, StreamConfig, StreamUpdate, WindowSpec};
+use dcl_core::identify::IdentifyError;
+use dcl_core::{StreamConfig, StreamUpdate, WindowSpec};
 use dcl_fleet::{FleetCheckpoint, StreamingFleet};
 use dcl_netsim::packet::ProbeStamp;
 use dcl_netsim::sim::ProbeRecord;
 use dcl_netsim::time::{Dur, Time};
-use dcl_probnum::em::EmBudget;
 use serde_json::json;
 
 /// What one window's worth of a path's record stream looks like.
@@ -67,13 +63,12 @@ fn window_block(kind: WindowKind, start: usize, len: usize, offset: usize) -> Ve
         .collect()
 }
 
-/// Per-path window schedule of the storm scenario.
+/// Per-path window schedule: the lossless path's windows 2-5 carry no
+/// losses, every other window a dominant congested link.
 fn schedule(path: usize, windows: usize) -> Vec<WindowKind> {
     (0..windows)
         .map(|w| match path {
-            // Storm path: four unusable windows (degrade, then
-            // quarantine), then dominant-link windows to recover on.
-            0 if w < 4 => WindowKind::Lossless,
+            0 if (2..6).contains(&w) => WindowKind::Lossless,
             _ => WindowKind::Dominant,
         })
         .collect()
@@ -92,29 +87,20 @@ fn build_fleet(cfg: StreamConfig, paths: usize, base: Dur, interval: Dur) -> Str
 fn main() {
     let cli = dcl_bench::cli::init();
     // No `--quick` mode: the scenario is already small (4 paths x 8
-    // windows, well under a second), and shrinking the windows below
-    // 500 probes trips EM guards on every path, collapsing the
-    // supervision premise the bin exists to assert.
+    // windows, well under a second).
     let window = 500usize;
     let windows = 8usize;
     let paths = 4usize;
     let log = cli.log("recovery");
 
-    print_header(
-        "Recovery",
-        "fault-storm supervision with mid-storm kill/restore",
-    );
+    print_header("Recovery", "streaming fleet with mid-run kill/restore");
 
     let base = Dur::from_millis(22.0);
     let interval = Dur::from_millis(20.0);
     let cfg = StreamConfig {
         window: WindowSpec::Count(window),
         hop: window,
-        identify: IdentifyConfig {
-            budget: Some(EmBudget::default()),
-            ..dcl_bench::light_identify()
-        },
-        supervise: true,
+        identify: dcl_bench::light_identify(),
         ..StreamConfig::default()
     };
 
@@ -142,7 +128,7 @@ fn main() {
         }
     }
 
-    // Storm run: half the rounds, checkpoint, kill, restore, finish.
+    // Half the rounds, checkpoint, kill, restore, finish.
     let mut fleet = build_fleet(cfg, paths, base, interval);
     let mut got: Vec<Vec<StreamUpdate>> = vec![Vec::new(); paths];
     let half = windows / 2;
@@ -166,25 +152,30 @@ fn main() {
     }
     std::panic::set_hook(hook);
 
-    print_row("path", &["role", "windows", "quarantines", "health"]);
-    let roles = ["storm", "steady", "steady", "panic"];
+    print_row("path", &["role", "windows", "unusable", "last verdict"]);
+    let roles = ["lossless", "steady", "steady", "panic"];
+    let unusable = |p: usize| got[p].iter().filter(|u| u.result.is_err()).count();
     for p in 0..paths {
-        let health = fleet.engine(p).health();
+        let last = got[p]
+            .iter()
+            .rev()
+            .find_map(|u| u.result.as_ref().ok())
+            .map_or("none", |r| r.verdict.tag());
         print_row(
             &format!("  {p}"),
             &[
                 roles[p].into(),
                 got[p].len().to_string(),
-                fleet.engine(p).quarantines().to_string(),
-                health.tag().into(),
+                unusable(p).to_string(),
+                last.into(),
             ],
         );
         log.record(&json!({
             "path": p,
             "role": roles[p],
             "windows": got[p].len(),
-            "quarantines": fleet.engine(p).quarantines(),
-            "health": health.tag(),
+            "unusable": unusable(p),
+            "last_verdict": last,
         }));
     }
     println!("\nrecords: {log}");
@@ -194,33 +185,26 @@ fn main() {
         want, got,
         "restored continuation diverged from the uninterrupted twin"
     );
+    let lossless: Vec<bool> = got[0]
+        .iter()
+        .map(|u| u.result == Err(IdentifyError::NoLosses))
+        .collect();
     assert_eq!(
-        fleet.engine(0).quarantines(),
-        1,
-        "storm path must quarantine once"
+        lossless,
+        schedule(0, windows)
+            .iter()
+            .map(|&k| k == WindowKind::Lossless)
+            .collect::<Vec<_>>(),
+        "exactly the lossless path's loss-free windows must be unusable"
     );
     assert_eq!(
-        fleet.engine(0).health(),
-        PathHealth::Healthy,
-        "storm path must recover through probation"
+        got[3].first().map(|u| u.window_index),
+        Some(1),
+        "the panicked window must yield no update, and the next one must"
     );
-    assert_eq!(
-        fleet.engine(3).quarantines(),
-        1,
-        "panic path must quarantine once"
-    );
-    assert_eq!(
-        fleet.engine(3).health(),
-        PathHealth::Healthy,
-        "panic path must recover through probation"
-    );
+    assert_eq!(got[3].len(), windows - 1);
     for p in [1usize, 2] {
-        assert_eq!(
-            fleet.engine(p).quarantines(),
-            0,
-            "steady path {p} must stay healthy"
-        );
-        assert_eq!(fleet.engine(p).health(), PathHealth::Healthy);
+        assert_eq!(got[p].len(), windows, "steady path {p}");
     }
-    println!("kill/restore continuation bitwise identical; storm and panic paths recovered");
+    println!("kill/restore continuation bitwise identical; the panic was contained");
 }

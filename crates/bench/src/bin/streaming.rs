@@ -52,7 +52,6 @@ fn main() {
         hop,
         warm_start: true,
         identify: dcl_bench::light_identify(),
-        supervise: false,
     };
     if let Some(seeds) = cli.seeds() {
         // Each seed's run is captured on its own, so an artifact would

@@ -249,12 +249,11 @@ pub fn validate_checkpoint(text: &str) -> Result<String, String> {
             return Err("engine checkpoint does not round-trip byte-identically".into());
         }
         Ok(format!(
-            "engine checkpoint ok (version {}, {} ingested, {} windows, {} buffered, health {})",
+            "engine checkpoint ok (version {}, {} ingested, {} windows, {} buffered)",
             ck.version,
             ck.ingested(),
             ck.windows_evaluated(),
-            ck.window_len(),
-            ck.health().tag()
+            ck.window_len()
         ))
     } else {
         Err("not a fleet or engine checkpoint (neither shape parses)".into())

@@ -50,7 +50,6 @@ pub mod bound;
 pub mod clocksync;
 pub mod discretize;
 pub mod estimators;
-mod health;
 pub mod hyptest;
 pub mod identify;
 pub mod localize;
@@ -63,7 +62,6 @@ pub use estimators::{
     ground_truth_verdict, EstimateError, GroundTruth, HmmEstimator, LossPairEstimator,
     MmhdEnsemble, MmhdEstimator, VqdEstimator,
 };
-pub use health::PathHealth;
 pub use hyptest::{sdcl_test, wdcl_test, TestOutcome, WdclParams};
 pub use identify::{
     identify, identify_path, Identification, IdentifyConfig, IdentifyError, ModelKind, Provenance,

@@ -14,8 +14,7 @@
 //!   exact batch `identify()` code path (it *is* `identify_fitted` with
 //!   no warm state), so the result is bit-identical to batch.
 //! * **Chunking invariance and determinism** — evaluation points are a
-//!   pure function of the ingested records (their count and, for
-//!   duration windows, their send times), never of the chunk
+//!   pure function of the ingested record count, never of the chunk
 //!   boundaries; window contents are a pure function of the ingested
 //!   records; warm state is a pure function of previously completed
 //!   windows; and the underlying fits are bitwise identical at every
@@ -29,12 +28,11 @@
 //! monitor alarms on.
 
 use crate::estimators::FittedModel;
-use crate::health::{HealthTransition, PathHealth, PathSupervisor, WindowOutcome};
 use crate::identify::{
     identify_fitted, Identification, IdentifyConfig, IdentifyError, ProvCtx, Verdict,
 };
 use dcl_netsim::sim::ProbeRecord;
-use dcl_netsim::time::{Dur, Time};
+use dcl_netsim::time::Dur;
 use dcl_netsim::trace::ProbeTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -46,8 +44,6 @@ use std::ops::Deref;
 pub enum WindowSpec {
     /// Keep the most recent `n` probe records.
     Count(usize),
-    /// Keep the records sent within `d` of the newest record's send time.
-    Duration(Dur),
 }
 
 /// Configuration of a [`StreamingIdentifier`].
@@ -55,12 +51,8 @@ pub enum WindowSpec {
 pub struct StreamConfig {
     /// Sliding-window bound.
     pub window: WindowSpec,
-    /// Re-evaluate every `hop` ingested probes. For [`WindowSpec::Count`]
-    /// windows the first evaluation happens once the window fills; for
-    /// [`WindowSpec::Duration`] windows it happens at the first hop
-    /// boundary where the stream has covered the window's duration
-    /// (elapsed send time since the first ingested record ≥ `d`), so a
-    /// barely-started window is never evaluated early.
+    /// Re-evaluate every `hop` ingested probes, the first time once the
+    /// window fills.
     pub hop: usize,
     /// Warm-start each window's fit from the previous window's model
     /// parameters (guarded; trips fall back to the cold restart
@@ -71,15 +63,6 @@ pub struct StreamConfig {
     /// stage of the batch pipeline and a monitor re-deciding every hop
     /// rarely needs per-window bounds.
     pub identify: IdentifyConfig,
-    /// Supervise the path's health (see [`PathHealth`]). Off (the
-    /// default), no state machine runs and behaviour is exactly the
-    /// unsupervised engine. On, two consecutive bad windows (errors,
-    /// guard trips, budget-degraded fits) degrade the path and two more
-    /// quarantine it: quarantined evaluation points are skipped at
-    /// near-zero cost until a backoff of 2 window hops — doubling per
-    /// re-quarantine, capped at 32, never wall-clock — elapses, and two
-    /// clean windows on probation make the path healthy again.
-    pub supervise: bool,
 }
 
 impl Default for StreamConfig {
@@ -92,7 +75,6 @@ impl Default for StreamConfig {
                 estimate_bound: false,
                 ..IdentifyConfig::default()
             },
-            supervise: false,
         }
     }
 }
@@ -151,7 +133,7 @@ pub struct StreamUpdate {
 /// determinism semantics. The engine's mutable state *is* a
 /// [`StreamingCheckpoint`], and the engine dereferences to it for the
 /// read-only accessors ([`StreamingCheckpoint::ingested`],
-/// [`StreamingCheckpoint::health`], ...).
+/// [`StreamingCheckpoint::windows_evaluated`], ...).
 #[derive(Debug)]
 pub struct StreamingIdentifier {
     cfg: StreamConfig,
@@ -164,7 +146,7 @@ pub struct StreamingIdentifier {
 
 /// Checkpoint schema version carried by every [`StreamingCheckpoint`];
 /// [`StreamingIdentifier::restore`] rejects any other value.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Verdict and PMF mode of the last usable window.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -174,12 +156,11 @@ struct PrevVerdict {
 }
 
 /// The complete mutable state of a [`StreamingIdentifier`]: window
-/// buffer, warm-start model, verdict state, logical clocks and health
-/// supervisor. The engine runs on one of these, so a checkpoint is a
-/// copy of it; restoring it into a fresh engine with the same
-/// [`StreamConfig`] and continuing the stream is bitwise identical —
-/// verdicts, provenance, events and metrics — to a run that never
-/// stopped. The configuration itself is deliberately not captured: it is
+/// buffer, warm-start model, verdict state and logical clocks. The
+/// engine runs on one of these, so a checkpoint is a copy of it;
+/// restoring it into a fresh engine with the same [`StreamConfig`] and
+/// continuing the stream is bitwise identical — verdicts, provenance,
+/// events and metrics — to a run that never stopped. The configuration itself is deliberately not captured: it is
 /// code-like, not state-like, and callers re-supply it on restore.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamingCheckpoint {
@@ -188,9 +169,6 @@ pub struct StreamingCheckpoint {
     base_delay: Dur,
     interval: Dur,
     buf: VecDeque<ProbeRecord>,
-    /// Send time of the very first ingested record; gates the first
-    /// duration-window evaluation on actual duration coverage.
-    first_sent: Option<Time>,
     ingested: usize,
     evaluated_at: usize,
     windows: usize,
@@ -199,8 +177,6 @@ pub struct StreamingCheckpoint {
     /// Fleet path index stamped on the engine's `verdict-provenance`
     /// events; `None` for a standalone engine.
     path: Option<u64>,
-    /// Health state machine; only driven when supervision is on.
-    supervisor: PathSupervisor,
 }
 
 impl StreamingCheckpoint {
@@ -222,22 +198,6 @@ impl StreamingCheckpoint {
     /// Fleet path index stamped on the engine, if any.
     pub fn path(&self) -> Option<u64> {
         self.path
-    }
-
-    /// Health of the supervised path. Always [`PathHealth::Healthy`]
-    /// when supervision is off.
-    pub fn health(&self) -> PathHealth {
-        self.supervisor.health()
-    }
-
-    /// Is the path quarantined (evaluation points being skipped)?
-    pub fn is_quarantined(&self) -> bool {
-        self.health() == PathHealth::Quarantined
-    }
-
-    /// Times the path has entered quarantine.
-    pub fn quarantines(&self) -> u32 {
-        self.supervisor.quarantines()
     }
 }
 
@@ -283,21 +243,19 @@ impl StreamingIdentifier {
     /// [`StreamingIdentifier::run_trace`]).
     ///
     /// # Panics
-    /// If the hop is zero or a count window is empty.
+    /// If the hop is zero or the window is empty.
     pub fn new(cfg: StreamConfig, base_delay: Dur, interval: Dur) -> StreamingIdentifier {
         let state = StreamingCheckpoint {
             version: CHECKPOINT_VERSION,
             base_delay,
             interval,
             buf: VecDeque::new(),
-            first_sent: None,
             ingested: 0,
             evaluated_at: 0,
             windows: 0,
             prev: None,
             warm: None,
             path: None,
-            supervisor: PathSupervisor::new(),
         };
         StreamingIdentifier::with_state(cfg, state)
     }
@@ -307,7 +265,7 @@ impl StreamingIdentifier {
     /// guarantee. Silent, like [`StreamingIdentifier::checkpoint`].
     ///
     /// # Panics
-    /// If the hop is zero or a count window is empty (as in
+    /// If the hop is zero or the window is empty (as in
     /// [`StreamingIdentifier::new`]).
     pub fn restore(
         cfg: StreamConfig,
@@ -324,9 +282,8 @@ impl StreamingIdentifier {
 
     fn with_state(cfg: StreamConfig, state: StreamingCheckpoint) -> StreamingIdentifier {
         assert!(cfg.hop > 0, "hop must be at least 1");
-        if let WindowSpec::Count(w) = cfg.window {
-            assert!(w > 0, "count window must be non-empty");
-        }
+        let WindowSpec::Count(w) = cfg.window;
+        assert!(w > 0, "count window must be non-empty");
         StreamingIdentifier {
             cfg,
             state,
@@ -335,9 +292,10 @@ impl StreamingIdentifier {
     }
 
     /// Fault hook for tests and the recovery bench: make the next `n`
-    /// window evaluations panic (`"injected evaluation fault"`), as a
-    /// deterministic stand-in for in-pipeline bugs. The fleet layer is
-    /// expected to contain the panic and quarantine the path.
+    /// window evaluations panic (`"injected evaluation fault"`) where the
+    /// pipeline would run, as a deterministic stand-in for in-pipeline
+    /// bugs: the window has taken its index and produces no update. The
+    /// fleet layer is expected to contain the panic and keep ingesting.
     pub fn inject_eval_panics(&mut self, n: usize) {
         self.inject_panics = n;
     }
@@ -348,18 +306,6 @@ impl StreamingIdentifier {
     /// stopped.
     pub fn checkpoint(&self) -> StreamingCheckpoint {
         self.state.clone()
-    }
-
-    /// Quarantine this path immediately from the outside — the fleet
-    /// layer calls this when a window evaluation panics — emitting the
-    /// transition event. No-op without supervision or when already
-    /// quarantined.
-    pub fn force_quarantine(&mut self, reason: &'static str) {
-        if self.cfg.supervise {
-            if let Some(t) = self.state.supervisor.force_quarantine(reason) {
-                self.record_health_transition(&t, self.state.windows as u64);
-            }
-        }
     }
 
     /// Stamp a fleet path index on every `verdict-provenance` event this
@@ -373,15 +319,17 @@ impl StreamingIdentifier {
     /// Ingest one probe record; returns the window evaluation when this
     /// record lands on an evaluation point.
     pub fn push(&mut self, record: ProbeRecord) -> Option<StreamUpdate> {
-        self.state.first_sent.get_or_insert(record.stamp.sent_at);
-        self.state.buf.push_back(record);
-        self.state.ingested += 1;
-        self.trim();
-        if self.due() {
-            self.evaluate_or_skip()
-        } else {
-            None
+        let WindowSpec::Count(w) = self.cfg.window;
+        let s = &mut self.state;
+        s.buf.push_back(record);
+        while s.buf.len() > w {
+            s.buf.pop_front();
         }
+        s.ingested += 1;
+        // An evaluation point is a pure function of the ingested count,
+        // so chunk boundaries cannot move it.
+        let due = s.ingested >= w && (s.ingested - w).is_multiple_of(self.cfg.hop);
+        due.then(|| self.evaluate())
     }
 
     /// Ingest a chunk of records; returns every window evaluation the
@@ -400,7 +348,7 @@ impl StreamingIdentifier {
         if self.state.buf.is_empty() || self.state.evaluated_at == self.state.ingested {
             return None;
         }
-        self.evaluate_or_skip()
+        Some(self.evaluate())
     }
 
     /// Convenience: stream a whole trace through a fresh engine (chunked
@@ -411,99 +359,6 @@ impl StreamingIdentifier {
         let mut updates = engine.push_chunk(&trace.records);
         updates.extend(engine.flush());
         updates
-    }
-
-    /// A due evaluation point. While a supervised path is quarantined it
-    /// is skipped entirely (no window clone, no fit): it burns one
-    /// backoff hop on the supervisor's logical clock and surfaces the
-    /// probation transition when the backoff elapses.
-    fn evaluate_or_skip(&mut self) -> Option<StreamUpdate> {
-        if self.cfg.supervise && self.state.is_quarantined() {
-            self.state.evaluated_at = self.state.ingested;
-            dcl_metrics::counter("stream.windows.skipped", 1);
-            if let Some(t) = self.state.supervisor.tick_quarantine() {
-                self.record_health_transition(&t, self.state.windows as u64);
-            }
-            return None;
-        }
-        Some(self.evaluate())
-    }
-
-    /// Emit the event and counters for one health transition. `window`
-    /// is the engine's window-hop logical clock (the index the *next*
-    /// evaluation would get, or the just-evaluated index when observed
-    /// from inside an evaluation).
-    fn record_health_transition(&self, t: &HealthTransition, window: u64) {
-        dcl_metrics::counter("stream.health.transitions", 1);
-        if t.to == PathHealth::Quarantined {
-            dcl_metrics::counter("stream.health.quarantines", 1);
-        }
-        let path = self.state.path;
-        let backoff = t.backoff_hops as u64;
-        let (from, to, reason) = (t.from.tag(), t.to.tag(), t.reason);
-        dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::PathHealthTransition {
-            path,
-            window,
-            from: from.to_string(),
-            to: to.to_string(),
-            reason: reason.to_string(),
-            backoff_hops: backoff,
-        });
-    }
-
-    /// Is the current ingest an evaluation point? A pure function of the
-    /// ingested records (count and, for duration windows, send times) —
-    /// chunk boundaries cannot influence it.
-    fn due(&self) -> bool {
-        let s = &self.state;
-        match self.cfg.window {
-            WindowSpec::Count(w) => {
-                s.ingested >= w && (s.ingested - w).is_multiple_of(self.cfg.hop)
-            }
-            WindowSpec::Duration(d) => {
-                if !s.ingested.is_multiple_of(self.cfg.hop) {
-                    return false;
-                }
-                // Mirror the count window's fill gate: the stream must
-                // have covered the window's duration before the first
-                // evaluation. The buffer's own span cannot witness this
-                // (trim keeps it ≤ d by construction), so measure
-                // elapsed send time from the first ingested record.
-                match (s.first_sent, s.buf.back()) {
-                    (Some(first), Some(newest)) => {
-                        newest.stamp.sent_at.saturating_since(first) >= d
-                    }
-                    _ => false,
-                }
-            }
-        }
-    }
-
-    /// Drop records that fell out of the window bound.
-    fn trim(&mut self) {
-        let buf = &mut self.state.buf;
-        match self.cfg.window {
-            WindowSpec::Count(w) => {
-                while buf.len() > w {
-                    buf.pop_front();
-                }
-            }
-            WindowSpec::Duration(d) => {
-                // Send times can be non-monotonic on faulted streams;
-                // saturating age keeps such records instead of panicking.
-                let newest = match buf.back() {
-                    Some(r) => r.stamp.sent_at,
-                    None => return,
-                };
-                while let Some(front) = buf.front() {
-                    if newest.saturating_since(front.stamp.sent_at) > d {
-                        buf.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
     }
 
     /// Transition implied by a usable window's verdict and PMF mode.
@@ -520,10 +375,6 @@ impl StreamingIdentifier {
 
     /// Run the pipeline on the current window contents.
     fn evaluate(&mut self) -> StreamUpdate {
-        if self.inject_panics > 0 {
-            self.inject_panics -= 1;
-            panic!("injected evaluation fault");
-        }
         let _span = dcl_metrics::span("stream.window");
         let records: Vec<ProbeRecord> = self.state.buf.iter().cloned().collect();
         let first_seq = records.first().map_or(0, |r| r.stamp.seq);
@@ -553,6 +404,10 @@ impl StreamingIdentifier {
             first_seq: Some(first_seq),
             last_seq: Some(last_seq),
         };
+        if self.inject_panics > 0 {
+            self.inject_panics -= 1;
+            panic!("injected evaluation fault");
+        }
         let (result, transition) = match identify_fitted(&wtrace, &self.cfg.identify, warm_in, ctx)
         {
             Ok((report, model)) => {
@@ -596,17 +451,6 @@ impl StreamingIdentifier {
                 (Err(e), None)
             }
         };
-        if self.cfg.supervise {
-            let outcome = match &result {
-                Ok(report) if report.provenance.degraded => WindowOutcome::Degraded,
-                Ok(report) if report.provenance.guard_trips > 0 => WindowOutcome::GuardTrips,
-                Ok(_) => WindowOutcome::Clean,
-                Err(_) => WindowOutcome::Error,
-            };
-            if let Some(t) = self.state.supervisor.observe(outcome) {
-                self.record_health_transition(&t, window_index as u64);
-            }
-        }
         StreamUpdate {
             window_index,
             first_seq,
@@ -684,60 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn duration_window_drops_old_records() {
-        let trace = lossless_trace(100);
-        let cfg = StreamConfig {
-            // 20 ms spacing: a 500 ms window holds ~26 records.
-            window: WindowSpec::Duration(Dur::from_millis(500.0)),
-            hop: 25,
-            ..StreamConfig::default()
-        };
-        let updates = StreamingIdentifier::run_trace(&trace, cfg);
-        // The hop boundary at ingested = 25 has only covered 480 ms of
-        // send time — below the 500 ms window — so the first evaluation
-        // waits for the boundary at 50. Evaluations at 50, 75, 100.
-        assert_eq!(updates.len(), 3);
-        for u in &updates {
-            assert!(u.window_len <= 26, "window too large: {}", u.window_len);
-        }
-        assert_eq!(updates[2].last_seq, 99);
-        assert!(updates[2].first_seq >= 74);
-    }
-
-    #[test]
-    fn duration_window_first_evaluation_waits_for_coverage() {
-        // 20 ms spacing and a 500 ms window: coverage is reached at
-        // record index 25 (sent_at 500 ms). With hop = 10 the boundaries
-        // at 10 and 20 records are early; the first evaluation must land
-        // at 30 with a full-duration window behind it.
-        let trace = lossless_trace(60);
-        let cfg = StreamConfig {
-            window: WindowSpec::Duration(Dur::from_millis(500.0)),
-            hop: 10,
-            ..StreamConfig::default()
-        };
-        let updates = StreamingIdentifier::run_trace(&trace, cfg);
-        assert_eq!(updates.len(), 4); // at 30, 40, 50, 60
-        assert_eq!(updates[0].last_seq, 29);
-        // Every evaluated window spans (close to) the full duration —
-        // no barely-started windows sneak through.
-        for u in &updates {
-            assert!(u.window_len >= 25, "undersized window: {}", u.window_len);
-        }
-        // Chunked ingest sees the identical evaluation points.
-        let mut chunked = StreamingIdentifier::new(cfg, trace.base_delay, trace.interval);
-        let mut chunk_updates = Vec::new();
-        for chunk in trace.records.chunks(13) {
-            chunk_updates.extend(chunked.push_chunk(chunk));
-        }
-        chunk_updates.extend(chunked.flush());
-        assert_eq!(chunk_updates.len(), updates.len());
-        for (a, b) in updates.iter().zip(&chunk_updates) {
-            assert_eq!((a.first_seq, a.last_seq), (b.first_seq, b.last_seq));
-        }
-    }
-
-    #[test]
     fn per_record_and_chunked_ingest_agree() {
         let trace = lossless_trace(120);
         let reference = StreamingIdentifier::run_trace(&trace, count_cfg(40, 20));
@@ -757,6 +547,231 @@ mod tests {
             );
             assert_eq!(a.result, b.result);
         }
+    }
+
+    #[test]
+    fn loss_free_windows_never_stop_evaluation() {
+        // A loss-free path is uncongested, not sick: every evaluation
+        // point yields a `NoLosses` update, however long the run of them.
+        let trace = lossless_trace(400);
+        let (updates, cap) =
+            dcl_metrics::capture(|| StreamingIdentifier::run_trace(&trace, count_cfg(20, 5)));
+        // Evaluations at ingested = 20, 25, ..., 400.
+        assert_eq!(updates.len(), 77);
+        for (i, u) in updates.iter().enumerate() {
+            assert_eq!(u.window_index, i);
+            assert_eq!(u.last_seq, (19 + 5 * i) as u64);
+            assert_eq!(u.result, Err(IdentifyError::NoLosses));
+            assert_eq!(u.transition, None);
+        }
+        assert_eq!(cap.metrics.counter("stream.windows"), 77);
+        assert_eq!(cap.metrics.counter("stream.windows.unusable"), 77);
+        assert!(
+            cap.events.iter().all(|e| e.kind().starts_with("span-")),
+            "an unusable window emits only its span"
+        );
+    }
+
+    #[test]
+    fn count_window_keeps_only_the_newest_records() {
+        let trace = lossless_trace(90);
+        let mut engine =
+            StreamingIdentifier::new(count_cfg(30, 10), trace.base_delay, trace.interval);
+        for (i, r) in trace.records.iter().enumerate() {
+            let update = engine.push(r.clone());
+            assert_eq!(engine.ingested(), i + 1);
+            assert_eq!(engine.window_len(), (i + 1).min(30));
+            if let Some(u) = update {
+                assert_eq!((u.first_seq, u.last_seq), (i as u64 - 29, i as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn hop_longer_than_the_window_skips_records_between_evaluations() {
+        let trace = lossless_trace(130);
+        let updates = StreamingIdentifier::run_trace(&trace, count_cfg(20, 50));
+        // Evaluations at ingested = 20, 70, 120, then the tail at 130.
+        let spans: Vec<(u64, u64)> = updates.iter().map(|u| (u.first_seq, u.last_seq)).collect();
+        assert_eq!(spans, [(0, 19), (50, 69), (100, 119), (110, 129)]);
+    }
+
+    #[test]
+    fn empty_window_and_zero_hop_are_rejected() {
+        let (base, interval) = (Dur::from_millis(20.0), Dur::from_millis(20.0));
+        for cfg in [count_cfg(0, 10), count_cfg(10, 0)] {
+            let built = std::panic::catch_unwind(|| StreamingIdentifier::new(cfg, base, interval));
+            assert!(built.is_err(), "{cfg:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_other_checkpoint_versions() {
+        let trace = lossless_trace(10);
+        let mut engine =
+            StreamingIdentifier::new(count_cfg(5, 5), trace.base_delay, trace.interval);
+        engine.push_chunk(&trace.records);
+        for version in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+            let mut ck = engine.checkpoint();
+            ck.version = version;
+            let err = StreamingIdentifier::restore(count_cfg(5, 5), ck).unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::VersionMismatch {
+                    found: version,
+                    expected: CHECKPOINT_VERSION,
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "checkpoint version {version} (this library restores {CHECKPOINT_VERSION})"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_json_holds_exactly_the_engine_state() {
+        let trace = lossless_trace(50);
+        let mut engine =
+            StreamingIdentifier::new(count_cfg(20, 10), trace.base_delay, trace.interval)
+                .with_path(3);
+        engine.push_chunk(&trace.records[..45]);
+        let json: serde_json::Value = serde_json::to_value(&engine.checkpoint()).unwrap();
+        let keys: Vec<&str> = json
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "version",
+                "base_delay",
+                "interval",
+                "buf",
+                "ingested",
+                "evaluated_at",
+                "windows",
+                "prev",
+                "warm",
+                "path"
+            ]
+        );
+        let field = |k: &str| json[k].as_u64();
+        assert_eq!(field("version"), Some(u64::from(CHECKPOINT_VERSION)));
+        assert_eq!(field("ingested"), Some(45));
+        assert_eq!(field("evaluated_at"), Some(40));
+        assert_eq!(field("windows"), Some(3));
+        assert_eq!(field("path"), Some(3));
+        assert_eq!(json["buf"].as_array().map(Vec::len), Some(20));
+    }
+
+    #[test]
+    fn checkpoint_restore_at_any_cut_continues_identically() {
+        let trace = lossless_trace(100);
+        let cfg = count_cfg(30, 20);
+        let want = StreamingIdentifier::run_trace(&trace, cfg);
+        // Cuts before the window fills, on an evaluation point, just
+        // after one, and mid-hop.
+        for cut in [10, 30, 31, 65] {
+            let mut engine = StreamingIdentifier::new(cfg, trace.base_delay, trace.interval);
+            let mut got = engine.push_chunk(&trace.records[..cut]);
+            let text = serde_json::to_string(&engine.checkpoint()).unwrap();
+            drop(engine);
+            let ck: StreamingCheckpoint = serde_json::from_str(&text).unwrap();
+            let mut restored = StreamingIdentifier::restore(cfg, ck).unwrap();
+            assert_eq!(restored.ingested(), cut);
+            got.extend(restored.push_chunk(&trace.records[cut..]));
+            got.extend(restored.flush());
+            assert_eq!(got, want, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn injected_panic_consumes_its_window_and_the_next_point_evaluates() {
+        let trace = lossless_trace(60);
+        let cfg = count_cfg(20, 20);
+        let want = StreamingIdentifier::run_trace(&trace, cfg);
+        let mut engine = StreamingIdentifier::new(cfg, trace.base_delay, trace.interval);
+        engine.inject_eval_panics(1);
+        engine.push_chunk(&trace.records[..19]);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let fired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.push(trace.records[19].clone())
+        }));
+        std::panic::set_hook(hook);
+        assert!(fired.is_err(), "the first evaluation panics");
+        // The panicked window took its index and its evaluation point.
+        assert_eq!((engine.ingested(), engine.windows_evaluated()), (20, 1));
+        assert!(engine.flush().is_none());
+        let mut rest = engine.push_chunk(&trace.records[20..]);
+        rest.extend(engine.flush());
+        assert_eq!(rest, want[1..]);
+    }
+
+    /// A bursty trace with a period of 50 records: delays rise for the
+    /// last 8 of every 25 records, and where `lossy(i)` holds, two
+    /// records inside each burst are lost.
+    fn periodic_trace(len: usize, lossy: impl Fn(usize) -> bool) -> ProbeTrace {
+        let records = (0..len)
+            .map(|i| {
+                let sent = Time::from_secs(i as f64 * 0.02);
+                let mut stamp = ProbeStamp::new(i as u64, None, sent);
+                let phase = i % 25;
+                let arrival = if lossy(i) && (phase == 19 || phase == 21) {
+                    stamp.loss_hop = Some(1);
+                    None
+                } else if phase >= 17 {
+                    Some(sent + Dur::from_millis(165.0 + (phase % 5) as f64 * 5.0))
+                } else {
+                    Some(sent + Dur::from_millis(25.0 + (i % 50) as f64))
+                };
+                ProbeRecord { stamp, arrival }
+            })
+            .collect();
+        ProbeTrace {
+            records,
+            base_delay: Dur::from_millis(22.0),
+            interval: Dur::from_millis(20.0),
+        }
+    }
+
+    #[test]
+    fn unusable_windows_keep_the_previous_verdict_state() {
+        // Lossy, then two loss-free windows, then the first window's
+        // contents again (the delays repeat every 50 records).
+        let trace = periodic_trace(1000, |i| !(250..750).contains(&i));
+        let cfg = StreamConfig {
+            window: WindowSpec::Count(250),
+            hop: 250,
+            warm_start: false,
+            identify: IdentifyConfig {
+                restarts: 2,
+                estimate_bound: false,
+                ..IdentifyConfig::default()
+            },
+        };
+        let (updates, cap) = dcl_metrics::capture(|| StreamingIdentifier::run_trace(&trace, cfg));
+        assert_eq!(updates.len(), 4);
+        let (first, last) = (
+            updates[0].result.as_ref().unwrap(),
+            updates[3].result.as_ref().unwrap(),
+        );
+        for gap in &updates[1..3] {
+            assert_eq!(gap.result, Err(IdentifyError::NoLosses));
+            assert_eq!(gap.transition, None);
+        }
+        assert_ne!(first.verdict, Verdict::NoDominant);
+        assert_eq!(updates[0].transition, Some(Transition::DclAppeared));
+        assert_eq!((first.verdict, &first.pmf), (last.verdict, &last.pmf));
+        // The last window is compared with the first, not with the gap.
+        assert_eq!(updates[3].transition, Some(Transition::DclUnchanged));
+        assert_eq!(cap.metrics.counter("stream.windows.unusable"), 2);
+        assert_eq!(cap.metrics.counter("stream.transitions.unchanged"), 1);
     }
 
     #[test]

@@ -239,13 +239,18 @@ impl StreamingFleet {
         }
         let _span = dcl_metrics::span("fleet.stream.round");
         dcl_metrics::counter("fleet.stream.rounds", 1);
-        self.each_path(|p, e| e.push_chunk(chunks[p]))
+        self.each_path(|p, e| {
+            chunks[p]
+                .iter()
+                .filter_map(|r| contained(|| e.push(r.clone())))
+                .collect()
+        })
     }
 
     /// Flush every path's tail window (see
     /// [`StreamingIdentifier::flush`]), paths in parallel.
     pub fn flush_all(&mut self) -> Vec<Option<StreamUpdate>> {
-        self.each_path(|_, e| e.flush().into_iter().collect())
+        self.each_path(|_, e| contained(|| e.flush()).into_iter().collect())
             .into_iter()
             .map(|updates| updates.into_iter().next())
             .collect()
@@ -254,39 +259,26 @@ impl StreamingFleet {
     /// The per-path step of [`StreamingFleet::ingest_round`] and
     /// [`StreamingFleet::flush_all`]: run `step` on every engine, one
     /// pool item per path, and tally the typed window failures.
-    ///
-    /// Panics are contained per path: a path whose window evaluation
-    /// panics is force-quarantined (its state may be mid-update and
-    /// cannot be trusted for further evaluation) and contributes no
-    /// updates; every other path — and the fleet — keeps running.
     fn each_path(
         &mut self,
         step: impl Fn(usize, &mut StreamingIdentifier) -> Vec<StreamUpdate> + Sync,
     ) -> Vec<Vec<StreamUpdate>> {
         // Each pool item locks only its own path's cell, and a contained
-        // panic unwinds no further than the step, so no cell is poisoned.
+        // panic unwinds no further than its record, so no cell is
+        // poisoned.
         let cells: Vec<Mutex<StreamingIdentifier>> = std::mem::take(&mut self.engines)
             .into_iter()
             .map(Mutex::new)
             .collect();
         let out = dcl_parallel::par_map_indexed(self.parallelism, cells.len(), |p| {
             let mut engine = cells[p].lock().expect("path cell is never poisoned");
-            let e = &mut *engine;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(p, e))) {
-                Ok(updates) => {
-                    for u in &updates {
-                        if let Err(err) = &u.result {
-                            count_error(err);
-                        }
-                    }
-                    updates
-                }
-                Err(_) => {
-                    dcl_metrics::counter("fleet.health.panics", 1);
-                    e.force_quarantine("panic");
-                    Vec::new()
+            let updates = step(p, &mut engine);
+            for u in &updates {
+                if let Err(err) = &u.result {
+                    count_error(err);
                 }
             }
+            updates
         });
         self.engines = cells
             .into_iter()
@@ -334,7 +326,7 @@ impl StreamingFleet {
         })
     }
 
-    /// Borrow one path's engine (health queries, checkpoint inspection).
+    /// Borrow one path's engine (counters, checkpoint inspection).
     ///
     /// # Panics
     /// If `path` is out of range.
@@ -346,6 +338,18 @@ impl StreamingFleet {
     pub fn engine_mut(&mut self, path: usize) -> &mut StreamingIdentifier {
         &mut self.engines[path]
     }
+}
+
+/// One engine step (a record's ingest or the tail flush) with a panic
+/// contained: the panic is counted and the step yields no update. The
+/// engine takes the window's index before its pipeline runs, so it
+/// evaluates again at its next evaluation point, and the rest of the
+/// path's chunk is still ingested.
+fn contained(step: impl FnOnce() -> Option<StreamUpdate>) -> Option<StreamUpdate> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)).unwrap_or_else(|_| {
+        dcl_metrics::counter("fleet.stream.panics", 1);
+        None
+    })
 }
 
 /// Serializable snapshot of a whole [`StreamingFleet`]: one
@@ -557,60 +561,104 @@ mod tests {
     }
 
     #[test]
-    fn panicking_path_is_contained_and_quarantined() {
+    fn panicking_path_is_contained() {
         let traces = [lossless_trace(80), lossless_trace(80)];
         let stream_cfg = StreamConfig {
             window: WindowSpec::Count(40),
             hop: 20,
-            supervise: true,
+            ..StreamConfig::default()
+        };
+        let build = || {
+            let mut fleet = StreamingFleet::new(Some(2));
+            for t in &traces {
+                fleet.add_path(stream_cfg, t.base_delay, t.interval);
+            }
+            fleet.engine_mut(0).inject_eval_panics(1);
+            fleet
+        };
+        // Silence the default panic hook while the injected fault fires;
+        // the panic is expected and contained.
+        let quietly = |f: &mut dyn FnMut()| {
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            f();
+            std::panic::set_hook(hook);
+        };
+
+        // One 70-record round: evaluation points at 40 and 60, and path
+        // 0's first evaluation panics mid-chunk.
+        let mut fleet = build();
+        let mut first = Vec::new();
+        quietly(&mut || {
+            let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[..70]).collect();
+            first = fleet.ingest_round(&chunks);
+        });
+        // The rest of the chunk is still ingested, and the panicking
+        // path's later updates are a lone engine's, less the panicked
+        // window.
+        assert_eq!(fleet.engine(0).ingested(), 70);
+        assert_eq!(fleet.engine(1).ingested(), 70);
+        let t = &traces[0];
+        let lone = StreamingIdentifier::new(stream_cfg, t.base_delay, t.interval)
+            .push_chunk(&t.records[..70]);
+        assert_eq!(lone.len(), 2);
+        assert_eq!(first[0], lone[1..]);
+        assert_eq!(first[1], lone);
+
+        // The next round evaluates both paths alike.
+        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[70..80]).collect();
+        let second = fleet.ingest_round(&chunks);
+        assert_eq!(second[0].len(), 1);
+        assert_eq!(second[0], second[1]);
+
+        // A path whose first evaluation is the tail flush: the flush
+        // contains its panic just as a round does, and the path
+        // evaluates again at its next evaluation point.
+        let mut fleet = build();
+        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[..30]).collect();
+        assert!(fleet.ingest_round(&chunks).iter().all(Vec::is_empty));
+        let mut tails = Vec::new();
+        quietly(&mut || tails = fleet.flush_all());
+        assert!(tails[0].is_none(), "panicked flush must yield no update");
+        assert!(tails[1].is_some(), "the other path must flush its tail");
+        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[30..40]).collect();
+        let next = fleet.ingest_round(&chunks);
+        assert_eq!(next[0].len(), 1);
+        assert_eq!(next[0], next[1]);
+    }
+
+    #[test]
+    fn contained_panic_is_counted_and_leaves_a_restorable_fleet() {
+        let traces = [lossless_trace(100), lossless_trace(100)];
+        let stream_cfg = StreamConfig {
+            window: WindowSpec::Count(40),
+            hop: 20,
             ..StreamConfig::default()
         };
         let mut fleet = StreamingFleet::new(Some(2));
         for t in &traces {
             fleet.add_path(stream_cfg, t.base_delay, t.interval);
         }
-        fleet.engine_mut(0).inject_eval_panics(1);
-
-        // Silence the default panic hook while the injected fault fires;
-        // the panic is expected and contained.
+        fleet.engine_mut(1).inject_eval_panics(1);
+        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[..50]).collect();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[..40]).collect();
-        let first = fleet.ingest_round(&chunks);
+        let (first, cap) = dcl_metrics::capture(|| fleet.ingest_round(&chunks));
         std::panic::set_hook(hook);
+        assert_eq!(cap.metrics.counter("fleet.stream.panics"), 1);
+        assert_eq!(cap.metrics.counter("fleet.errors.no-losses"), 1);
+        assert_eq!((first[0].len(), first[1].len()), (1, 0));
 
-        // The panicking path contributed nothing; the other path kept
-        // running and hit its evaluation point.
-        assert!(first[0].is_empty(), "panicked path must yield no updates");
-        assert_eq!(first[1].len(), 1, "healthy path must keep evaluating");
-        assert!(fleet.engine(0).is_quarantined());
-        assert_eq!(fleet.engine(0).quarantines(), 1);
-        assert!(!fleet.engine(1).is_quarantined());
-
-        // Next round: the quarantined path skips its evaluation point
-        // near-zero cost instead of re-entering the pipeline.
-        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[40..60]).collect();
-        let second = fleet.ingest_round(&chunks);
-        assert!(second[0].is_empty(), "quarantined path must be skipped");
-        assert_eq!(second[1].len(), 1);
-
-        // A path whose first evaluation is the tail flush: the flush
-        // contains its panic just as a round does.
-        let mut fleet = StreamingFleet::new(Some(2));
-        for t in &traces {
-            fleet.add_path(stream_cfg, t.base_delay, t.interval);
-        }
-        fleet.engine_mut(0).inject_eval_panics(1);
-        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[..30]).collect();
-        assert!(fleet.ingest_round(&chunks).iter().all(Vec::is_empty));
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let tails = fleet.flush_all();
-        std::panic::set_hook(hook);
-        assert!(tails[0].is_none(), "panicked flush must yield no update");
-        assert!(tails[1].is_some(), "healthy path must flush its tail");
-        assert!(fleet.engine(0).is_quarantined());
-        assert!(!fleet.engine(1).is_quarantined());
+        // Checkpointing after the contained panic and restoring continues
+        // exactly as the fleet that kept running.
+        let ck = fleet.checkpoint_all();
+        let mut restored = StreamingFleet::restore_all(Some(2), stream_cfg, ck)
+            .expect("current-version checkpoint restores");
+        let chunks: Vec<&[ProbeRecord]> = traces.iter().map(|t| &t.records[50..]).collect();
+        let want = fleet.ingest_round(&chunks);
+        assert_eq!(restored.ingest_round(&chunks), want);
+        assert_eq!(want[0], want[1], "both paths evaluate alike again");
+        assert_eq!(restored.engine(1).windows_evaluated(), 4);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! The artifact is one JSON object `{"traceEvents": [...]}`. Spans are
 //! complete events (`"ph": "X"`) with `name`, `ts`, `dur`, `pid`/`tid`
 //! pinned to 1, and `args: {id, parent, wall_ns}`; point-in-time records
-//! (`INSTANT_KINDS`: verdict provenance, verdict transitions,
-//! path-health transitions, fault injections) are instant events
+//! (`INSTANT_KINDS`: verdict provenance, verdict transitions, fault
+//! injections) are instant events
 //! (`"ph": "i"`, `"s": "t"`) whose `args` embed the full obs event. Any
 //! other kind is left out and takes no position on the timeline.
 //!
@@ -41,7 +41,6 @@ use std::path::Path;
 const INSTANT_KINDS: &[&str] = &[
     "verdict-transition",
     "verdict-provenance",
-    "path-health-transition",
     "fault-injection",
 ];
 
@@ -337,6 +336,20 @@ mod tests {
             r#"]}"#
         ))
         .is_err());
+    }
+
+    #[test]
+    fn instant_kinds_are_known_point_in_time_kinds() {
+        for kind in INSTANT_KINDS {
+            assert!(
+                Event::KNOWN_KINDS.contains(kind),
+                "{kind} is not an event kind"
+            );
+            assert!(
+                !kind.starts_with("span-"),
+                "{kind} is a span, not an instant"
+            );
+        }
     }
 
     #[test]

@@ -169,30 +169,6 @@ pub enum Event {
         last_seq: Option<u64>,
     },
 
-    /// A supervised path's health state changed (see
-    /// `dcl_core::PathHealth`). Driven entirely by logical
-    /// clocks — window outcomes and window hops — so the transition
-    /// stream is part of the deterministic contract. Kind tag:
-    /// `path-health-transition`.
-    PathHealthTransition {
-        /// Fleet path index, when supervised as part of a fleet.
-        path: Option<u64>,
-        /// 0-based window-hop index at which the transition fired.
-        window: u64,
-        /// State before the transition ("healthy", "degraded",
-        /// "quarantined", "probation").
-        from: String,
-        /// State after the transition.
-        to: String,
-        /// Why it fired ("guard-trips", "degraded", "errors", "panic",
-        /// "recovered", "backoff-elapsed", "probation-clean",
-        /// "probation-failed").
-        reason: String,
-        /// Backoff length in window hops when a quarantine was entered;
-        /// `0` for every other transition.
-        backoff_hops: u64,
-    },
-
     /// A scoped span opened: a node of the causal trace tree. `id` is a
     /// stable, deterministic identifier derived from index-ordered
     /// counters (never thread ids); `parent` is the id of the innermost
@@ -231,7 +207,6 @@ impl Event {
         "fault-injection",
         "verdict-transition",
         "verdict-provenance",
-        "path-health-transition",
         "span-open",
         "span-close",
     ];
@@ -245,7 +220,6 @@ impl Event {
             Event::FaultInjection { .. } => "fault-injection",
             Event::VerdictTransition { .. } => "verdict-transition",
             Event::VerdictProvenance { .. } => "verdict-provenance",
-            Event::PathHealthTransition { .. } => "path-health-transition",
             Event::SpanOpen { .. } => "span-open",
             Event::SpanClose { .. } => "span-close",
         }
@@ -292,7 +266,6 @@ impl Event {
             }
             Event::EmGuard { .. }
             | Event::FaultInjection { .. }
-            | Event::PathHealthTransition { .. }
             | Event::SpanOpen { .. }
             | Event::SpanClose { .. } => true,
         }
@@ -388,22 +361,6 @@ mod tests {
                 first_seq: None,
                 last_seq: None,
             },
-            Event::PathHealthTransition {
-                path: Some(9),
-                window: 12,
-                from: "degraded".into(),
-                to: "quarantined".into(),
-                reason: "errors".into(),
-                backoff_hops: 4,
-            },
-            Event::PathHealthTransition {
-                path: None,
-                window: 16,
-                from: "quarantined".into(),
-                to: "probation".into(),
-                reason: "backoff-elapsed".into(),
-                backoff_hops: 0,
-            },
             Event::SpanOpen {
                 name: "identify".into(),
                 id: 0x9E3779B97F4A7C15,
@@ -426,8 +383,6 @@ mod tests {
 {"kind":"verdict-transition","transition":"dcl-moved","window":7,"verdict":"strongly-dominant","prev_verdict":"weakly-dominant","mode":4,"num_probes":3000,"loss_rate":0.03125}
 {"kind":"verdict-provenance","verdict":"strongly-dominant","model":"mmhd","warm":true,"restarts":6,"iterations":42,"converged":true,"guard_trips":1,"log_likelihood":-987.25,"degraded":false,"sdcl_accepted":true,"sdcl_margin":0.03125,"sdcl_d_star":4,"wdcl_accepted":true,"wdcl_margin":0.0625,"wdcl_d_star":4,"num_probes":1500,"loss_rate":0.015625,"bin_width_us":32000,"path":17,"window":3,"first_seq":4500,"last_seq":5999}
 {"kind":"verdict-provenance","verdict":"no-dominant","model":"hmm","warm":false,"restarts":2,"iterations":200,"converged":false,"guard_trips":0,"log_likelihood":-12.5,"degraded":true,"sdcl_accepted":false,"sdcl_margin":-0.25,"sdcl_d_star":null,"wdcl_accepted":false,"wdcl_margin":-0.125,"wdcl_d_star":2,"num_probes":800,"loss_rate":0.00390625,"bin_width_us":4000,"path":null,"window":null,"first_seq":null,"last_seq":null}
-{"kind":"path-health-transition","path":9,"window":12,"from":"degraded","to":"quarantined","reason":"errors","backoff_hops":4}
-{"kind":"path-health-transition","path":null,"window":16,"from":"quarantined","to":"probation","reason":"backoff-elapsed","backoff_hops":0}
 {"kind":"span-open","name":"identify","id":11400714819323198485,"parent":0}
 {"kind":"span-close","name":"identify","id":11400714819323198485,"wall_ns":123456789}"#;
 
@@ -482,14 +437,9 @@ mod tests {
             .find(|l| l.contains(r#""sdcl_d_star":null"#))
             .unwrap();
         assert!(serde_json::from_str::<Event>(provenance).is_ok());
-        assert!(
-            serde_json::from_str::<Event>(&provenance.replace(r#""sdcl_d_star":null,"#, ""))
-                .is_err()
-        );
-        assert!(serde_json::from_str::<Event>(
-            r#"{"kind":"path-health-transition","window":16,"from":"quarantined","to":"probation","reason":"backoff-elapsed","backoff_hops":0}"#
-        )
-        .is_err());
+        for key in [r#""sdcl_d_star":null,"#, r#""path":null,"#] {
+            assert!(serde_json::from_str::<Event>(&provenance.replace(key, "")).is_err());
+        }
         assert!(serde_json::from_str::<Event>("[1,2]").is_err());
     }
 

@@ -7,9 +7,7 @@
 //! * [`identification`] (`dcl-core`) — the paper's method: discretisation,
 //!   virtual-queuing-delay estimation, SDCL/WDCL hypothesis tests, and
 //!   maximum-queuing-delay bounds; plus the streaming engine, whose state
-//!   is its checkpoint and whose optional path-health supervision (a
-//!   deterministic `Healthy → Degraded → Quarantined → Probation` state
-//!   machine with logical-clock backoff) contains failing paths;
+//!   is its checkpoint;
 //! * [`netsim`] — the discrete-event network simulator (ns-2 substitute);
 //! * [`mmhd`] / [`hmm`] — the two statistical models with EM inference;
 //! * [`losspair`] — the loss-pair baseline;
@@ -26,8 +24,7 @@
 //! * [`metrics`] — the telemetry: a metrics registry and a structured
 //!   event stream (spans, verdict provenance, counters) behind one
 //!   zero-overhead gate with a deterministic parallel merge, exported as
-//!   JSONL, Chrome-trace span trees and a logical-cadence metrics time
-//!   series.
+//!   JSONL and Chrome-trace span trees.
 //!
 //! See the `examples/` directory for runnable walkthroughs and
 //! `crates/bench/src/bin/` for the per-table/figure experiment harness.

@@ -1,7 +1,7 @@
 //! Checkpoint wire-format pins: the exact JSON bytes of one engine
 //! checkpoint and one fleet checkpoint, each taken mid-stream with a warm
-//! model, a non-empty window buffer and a supervisor that is not
-//! `Healthy`, are committed under `tests/golden/`. A refactor of the
+//! model, a non-empty window buffer and two unusable windows behind the
+//! last usable one, are committed under `tests/golden/`. A refactor of the
 //! streaming runtime must serialise the same states to the same bytes,
 //! and a checkpoint written by an earlier build must restore into a
 //! continuation bitwise equal to the run that never stopped.
@@ -20,7 +20,7 @@ mod common;
 use dominant_congested_links::fleet::{FleetCheckpoint, StreamingFleet};
 use dominant_congested_links::identification::identify::IdentifyConfig;
 use dominant_congested_links::identification::{
-    PathHealth, StreamConfig, StreamUpdate, StreamingCheckpoint, StreamingIdentifier, WindowSpec,
+    StreamConfig, StreamUpdate, StreamingCheckpoint, StreamingIdentifier, WindowSpec,
 };
 use dominant_congested_links::netsim::sim::ProbeRecord;
 use dominant_congested_links::netsim::time::Dur;
@@ -28,8 +28,7 @@ use dominant_congested_links::netsim::time::Dur;
 /// Records per window, and the window hop.
 const PER: usize = 100;
 /// Checkpoint position: half-way into the fourth window, after one
-/// usable window (warm model, verdict state) and two unusable ones
-/// (supervisor `Degraded`).
+/// usable window (warm model, verdict state) and two unusable ones.
 const CUT: usize = 3 * PER + PER / 2;
 
 const BASE: Dur = Dur::from_nanos(22_000_000);
@@ -51,7 +50,6 @@ fn cfg() -> StreamConfig {
             parallelism: Some(1),
             ..IdentifyConfig::default()
         },
-        supervise: true,
     }
 }
 
@@ -65,7 +63,7 @@ fn engine_checkpoint_bytes_and_continuation_are_pinned() {
         before[0].result.is_ok(),
         "the first window must warm the model"
     );
-    assert_eq!(engine.health(), PathHealth::Degraded);
+    assert!(before[1..].iter().all(|u| u.result.is_err()));
 
     let stored = fixture("checkpoint_engine.json");
     let json = serde_json::to_string(&engine.checkpoint()).expect("checkpoint serialises");
@@ -120,11 +118,13 @@ fn fleet_checkpoint_bytes_and_continuation_are_pinned() {
     };
 
     let mut fleet = build();
+    let mut before = Vec::new();
     for off in (0..CUT).step_by(PER / 2) {
         let chunks: Vec<&[ProbeRecord]> = paths.iter().map(|p| &p[off..off + PER / 2]).collect();
-        fleet.ingest_round(&chunks);
+        before.extend(fleet.ingest_round(&chunks).swap_remove(0));
     }
-    assert_eq!(fleet.engine(0).health(), PathHealth::Degraded);
+    assert_eq!(before.len(), 3);
+    assert!(before[1..].iter().all(|u| u.result.is_err()));
     let stored = fixture("checkpoint_fleet.json");
     let json = serde_json::to_string(&fleet.checkpoint_all()).expect("checkpoint serialises");
     assert_eq!(json + "\n", stored, "fleet checkpoint bytes changed");

@@ -134,7 +134,6 @@ fn streaming_transition_timeline_matches_golden() {
         hop: 750,
         warm_start: true,
         identify: light_identify(),
-        supervise: false,
     };
     let updates = StreamingIdentifier::run_trace(&trace, cfg);
     let rows: Vec<Value> = updates

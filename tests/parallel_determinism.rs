@@ -260,7 +260,6 @@ fn stream_cfg(parallelism: Option<usize>) -> StreamConfig {
             parallelism,
             ..IdentifyConfig::default()
         },
-        supervise: false,
     }
 }
 
@@ -602,7 +601,6 @@ fn identify_parallelism_setting_matches_serial_verdict() {
     assert_eq!(a, b);
 }
 
-use dominant_congested_links::identification::PathHealth;
 use dominant_congested_links::identification::StreamingCheckpoint;
 
 /// Drive `trace` through a streaming engine with a mid-window
@@ -625,22 +623,28 @@ fn run_with_restore(trace: &ProbeTrace, cfg: StreamConfig, cut: usize) -> Vec<St
 /// restoring must be *invisible* — per-window verdicts, the canonical
 /// event stream (provenance included), and the canonical metrics
 /// snapshot all match the uninterrupted run bit for bit, at every
-/// thread count, and the restored runs agree across thread counts.
+/// thread count, and the restored runs agree across thread counts. Two
+/// inputs: a regime shift, and a storm of unusable (loss-free) windows
+/// before a dominant link, cut between two of them.
 #[test]
 fn checkpoint_restore_continuation_identical_at_every_thread_count() {
-    let trace = shifting_trace(3_000);
-    let cut = 1_250; // past the second hop, mid-way into the third window
+    // Past the second hop, mid-way into the third window.
+    checkpoint_restore_case(&shifting_trace(3_000), 1_250);
+    // After two `NoLosses` windows, inside the unusable run.
+    checkpoint_restore_case(&common::blocks("LLLLDDDD", 500, 0), 1_750);
+}
 
+fn checkpoint_restore_case(trace: &ProbeTrace, cut: usize) {
     let mut runs = Vec::new();
     for p in PARALLELISMS {
         let cfg = stream_cfg(p);
 
         let (ref_updates, reference) =
-            metrics::capture(|| StreamingIdentifier::run_trace(&trace, cfg));
+            metrics::capture(|| StreamingIdentifier::run_trace(trace, cfg));
         let ref_events = reference.events;
         let ref_snapshot = reference.metrics.snapshot().canonical();
 
-        let (updates, restored) = metrics::capture(|| run_with_restore(&trace, cfg, cut));
+        let (updates, restored) = metrics::capture(|| run_with_restore(trace, cfg, cut));
         let events = restored.events;
         let snapshot = restored.metrics.snapshot().canonical();
 
@@ -676,131 +680,4 @@ fn checkpoint_restore_continuation_identical_at_every_thread_count() {
             "restored metrics snapshot differs at parallelism {p:?}"
         );
     }
-}
-
-fn supervised_cfg(parallelism: Option<usize>) -> StreamConfig {
-    StreamConfig {
-        window: WindowSpec::Count(500),
-        hop: 500,
-        warm_start: true,
-        identify: IdentifyConfig {
-            estimate_bound: false,
-            restarts: 2,
-            parallelism,
-            ..IdentifyConfig::default()
-        },
-        supervise: true,
-    }
-}
-
-/// The `(from, to, reason, backoff_hops, window)` sequence of every
-/// path-health-transition event, in emission order.
-fn health_transitions(events: &[obs::Event]) -> Vec<(String, String, String, u64, u64)> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            obs::Event::PathHealthTransition {
-                from,
-                to,
-                reason,
-                backoff_hops,
-                window,
-                ..
-            } => Some((
-                from.clone(),
-                to.clone(),
-                reason.clone(),
-                *backoff_hops,
-                *window,
-            )),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The supervision determinism guarantee, golden-pinned: a fault storm
-/// (four unusable windows, then recovery) drives the path through the
-/// exact transition sequence `Degraded → Quarantined → Probation →
-/// Healthy` on the logical window clock, identically at every thread
-/// count, and identically when the run is killed and restored from a
-/// checkpoint taken while the path sits in quarantine.
-#[test]
-fn fault_storm_transition_sequence_is_golden_at_every_thread_count() {
-    // 8 windows of 500: w0..w3 error (degrade at w1, quarantine at w3,
-    // backoff 2 hops), the 2500- and 3000-record evaluation points are
-    // skipped (probation surfaces on the second), then two clean
-    // dominant windows clear probation.
-    let trace = common::blocks("LLLLDDDD", 500, 0);
-    let golden: Vec<(String, String, String, u64, u64)> = [
-        ("healthy", "degraded", "errors", 0u64, 1u64),
-        ("degraded", "quarantined", "errors", 2, 3),
-        ("quarantined", "probation", "backoff-elapsed", 0, 4),
-        ("probation", "healthy", "probation-clean", 0, 5),
-    ]
-    .iter()
-    .map(|(f, t, r, b, w)| (f.to_string(), t.to_string(), r.to_string(), *b, *w))
-    .collect();
-
-    let mut runs = Vec::new();
-    for p in PARALLELISMS {
-        let cfg = supervised_cfg(p);
-
-        let (updates, metrics::Captured { events, .. }) =
-            metrics::capture(|| StreamingIdentifier::run_trace(&trace, cfg));
-        // Kill/restore with the checkpoint taken inside the quarantine
-        // backoff (after the 2500-record skip): the supervisor's
-        // schedule must survive the round trip.
-        let (restored_updates, restored) =
-            metrics::capture(|| run_with_restore(&trace, cfg, 2_750));
-
-        let canonical: Vec<obs::Event> = events.iter().map(obs::Event::canonical).collect();
-        let restored: Vec<obs::Event> = restored.events.iter().map(obs::Event::canonical).collect();
-
-        let at = format!("fault storm at parallelism {p:?}");
-        assert_eq!(
-            health_transitions(&canonical),
-            golden,
-            "{at}: transition sequence"
-        );
-        assert_eq!(
-            health_transitions(&restored),
-            golden,
-            "{at}: restored transition sequence"
-        );
-        assert_eq!(restored_updates, updates, "{at}");
-        assert_eq!(
-            restored, canonical,
-            "{at}: event stream differs after restore"
-        );
-        runs.push((p, updates, canonical));
-    }
-
-    let (_, ref_updates, ref_events) = &runs[0];
-    // Skipped evaluation points get no window index: 8 hops minus 2
-    // quarantined skips leave 6 evaluated windows.
-    assert_eq!(ref_updates.len(), 6, "evaluated-window count");
-    for (p, updates, events) in &runs[1..] {
-        assert_eq!(updates, ref_updates, "storm at parallelism {p:?}");
-        assert_eq!(
-            events, ref_events,
-            "storm event stream differs at parallelism {p:?}"
-        );
-    }
-
-    // End-state spot check through a fresh engine (run_trace consumed
-    // the others): quarantined exactly once, healthy again at the end.
-    let mut engine =
-        StreamingIdentifier::new(supervised_cfg(Some(1)), trace.base_delay, trace.interval);
-    let _ = engine.push_chunk(&trace.records);
-    let _ = engine.flush();
-    assert_eq!(
-        engine.quarantines(),
-        1,
-        "storm path must quarantine exactly once"
-    );
-    assert_eq!(
-        engine.health(),
-        PathHealth::Healthy,
-        "storm path must recover"
-    );
 }

@@ -31,7 +31,6 @@ fn stream_full_window(trace: &ProbeTrace, cfg: &IdentifyConfig) -> Identificatio
         hop: trace.len(),
         warm_start: true,
         identify: *cfg,
-        supervise: false,
     };
     let updates = StreamingIdentifier::run_trace(trace, stream_cfg);
     assert_eq!(updates.len(), 1, "full-trace window must evaluate once");
@@ -92,7 +91,6 @@ fn oversized_window_flush_equals_batch() {
         hop: 100 * trace.len(),
         warm_start: true,
         identify: cfg,
-        supervise: false,
     };
     let mut engine = StreamingIdentifier::new(stream_cfg, trace.base_delay, trace.interval);
     assert!(engine.push_chunk(&trace.records).is_empty());

@@ -39,7 +39,6 @@ fn stream_cfg(window: usize, hop: usize, warm_start: bool, model: ModelKind) -> 
             parallelism: Some(1),
             ..IdentifyConfig::default()
         },
-        supervise: false,
     }
 }
 
