@@ -43,7 +43,8 @@
 #                BENCH_perf.json is a full run); the report and a
 #                `--metrics` snapshot must validate;
 #   resilience   the recovery bin's in-process fleet kill/restore across
-#                unusable windows and a contained panic, then a
+#                unusable windows and a contained panic, each of its
+#                verdict-transition events naming its path, then a
 #                two-process streaming kill/restore;
 #   clippy       the whole workspace, all targets, warnings denied; no
 #                read of forward–backward rows (`alpha_row`, `beta_row`,
@@ -203,6 +204,12 @@ job_resilience() {
   bin recovery --obs "$TMP/recovery.jsonl" --checkpoint "$TMP/recovery-ck.json"
   bin obs_check "$TMP/recovery.jsonl" 3
   grep -q '"kind":"verdict-transition"' "$TMP/recovery.jsonl"
+  # Every transition names its fleet path.
+  if grep '"kind":"verdict-transition"' "$TMP/recovery.jsonl" |
+       grep -vq '"path":[0-9]'; then
+    echo "verdict-transition without a path index" >&2
+    exit 1
+  fi
   bin obs_check --checkpoint "$TMP/recovery-ck.json"
   # Kill/restore across two processes: snapshot half the stream, restore,
   # finish.

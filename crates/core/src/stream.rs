@@ -435,6 +435,7 @@ impl StreamingIdentifier {
                 );
                 dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::VerdictTransition {
                     transition: transition.tag().to_string(),
+                    path: self.state.path,
                     window: window_index,
                     verdict: report.verdict.tag().to_string(),
                     prev_verdict: prev_verdict.map_or("none", Verdict::tag).to_string(),

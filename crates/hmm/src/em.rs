@@ -244,18 +244,8 @@ pub fn try_fit(obs: &[Obs], opts: &EmOptions) -> Result<FitResult, FitError> {
     em::try_fit(obs, opts)
 }
 
-/// Fit an HMM to `obs` by EM with random restarts.
-///
-/// Thin wrapper over [`try_fit`] preserving the historical contract:
-/// panics if the sequence is empty, contains symbols outside
-/// `1..=num_symbols`, or no restart survives the numerical guards. Prefer
-/// [`try_fit`] on untrusted measurement data.
-pub fn fit(obs: &[Obs], opts: &EmOptions) -> FitResult {
-    try_fit(obs, opts).unwrap_or_else(|e| panic!("hmm fit failed: {e}"))
-}
-
-/// Fit an HMM to `obs` warm-started from a previously fitted model
-/// instead of the random-restart schedule.
+/// Fit an HMM to `obs` warm-started from a previously fitted model,
+/// ahead of the random-restart schedule.
 ///
 /// The streaming engine refits overlapping windows whose optimum moves
 /// slowly, so it seeds EM from the previous window's parameters. The
@@ -264,11 +254,10 @@ pub fn fit(obs: &[Obs], opts: &EmOptions) -> FitResult {
 /// mass on the old window's first state, and a zero loss probability
 /// would stay 0. The rows of `A` and `B` keep their zeros, and a window
 /// that needs a transition or emission they rule out is fitted by
-/// [`try_fit`], since it left the regime the seed describes. A warm
-/// trajectory that trips a guard, or an `init` with the wrong
-/// dimensions, falls back to [`try_fit`] too (see
-/// [`dcl_probnum::em::fit_warm`]); the result is a pure function of
-/// `(obs, opts, init)`.
+/// [`try_fit`], since it left the regime the seed describes. So is an
+/// `init` with the wrong dimensions, and a warm trajectory that trips a
+/// guard goes on into its restarts (see [`dcl_probnum::em::fit_warm`]);
+/// the result is a pure function of `(obs, opts, init)`.
 pub fn fit_warm(obs: &[Obs], opts: &EmOptions, init: &Hmm) -> Result<FitResult, FitError> {
     em::fit_warm(obs, opts, init)
 }
@@ -331,16 +320,11 @@ mod tests {
 
     #[test]
     fn fit_rejects_bad_symbols() {
-        let result = std::panic::catch_unwind(|| {
-            fit(
-                &[Obs::Sym(9)],
-                &EmOptions {
-                    num_symbols: 5,
-                    ..EmOptions::default()
-                },
-            )
-        });
-        assert!(result.is_err());
+        let opts = EmOptions {
+            num_symbols: 5,
+            ..EmOptions::default()
+        };
+        assert!(try_fit(&[Obs::Sym(9)], &opts).is_err());
     }
 
     #[test]
@@ -354,14 +338,15 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(2);
         let obs = truth.generate(&mut rng, 2000);
-        let r = fit(
+        let r = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
                 num_symbols: 3,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.log_likelihood.is_finite());
         assert!(r.model.loss_probs().iter().all(|&c| c < 1e-6));
         // The emission distribution should match the empirical frequencies.
@@ -387,7 +372,7 @@ mod tests {
         for data_seed in [8, 1, 2, 3, 4, 5, 6, 7, 9, 10] {
             let mut rng = SmallRng::seed_from_u64(data_seed);
             let obs = truth.generate(&mut rng, 60_000);
-            let r = fit(
+            let r = try_fit(
                 &obs,
                 &EmOptions {
                     num_hidden: 1,
@@ -400,7 +385,8 @@ mod tests {
                     budget: None,
                     settings: (),
                 },
-            );
+            )
+            .unwrap();
             let (b, c) = (r.model.emission(), r.model.loss_probs());
             let freq = |o: Obs| obs.iter().filter(|&&x| x == o).count() as f64 / obs.len() as f64;
             for k in 0..4 {
@@ -463,7 +449,7 @@ mod tests {
         let truth = planted();
         let mut rng = SmallRng::seed_from_u64(21);
         let obs = truth.generate(&mut rng, 5000);
-        let single = fit(
+        let single = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 2,
@@ -472,8 +458,9 @@ mod tests {
                 seed: 100,
                 ..EmOptions::default()
             },
-        );
-        let multi = fit(
+        )
+        .unwrap();
+        let multi = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 2,
@@ -482,7 +469,8 @@ mod tests {
                 seed: 100,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(multi.log_likelihood >= single.log_likelihood - 1e-9);
     }
 }

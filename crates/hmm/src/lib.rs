@@ -16,9 +16,7 @@
 mod em;
 mod model;
 
-pub use em::{
-    em_step, em_step_with, fit, fit_warm, try_fit, EmBudget, EmOptions, EmScratch, FitResult,
-};
+pub use em::{em_step, em_step_with, fit_warm, try_fit, EmBudget, EmOptions, EmScratch, FitResult};
 pub use model::Hmm;
 
 #[cfg(test)]
@@ -61,7 +59,7 @@ mod tests {
             let obs = truth.generate(&mut rng, 30_000);
             assert!(obs.iter().any(|o| o.is_loss()), "need losses in the data");
 
-            let result = fit(
+            let result = try_fit(
                 &obs,
                 &EmOptions {
                     num_hidden: 2,
@@ -74,7 +72,8 @@ mod tests {
                     budget: None,
                     settings: (),
                 },
-            );
+            )
+            .unwrap();
             let truth_ll = truth.log_likelihood(&obs);
             // Relative slack for rounding over 30,000 steps.
             assert!(

@@ -263,6 +263,7 @@ mod tests {
             close("em", 20, 500),
             Event::VerdictTransition {
                 transition: "dcl-appeared".into(),
+                path: None,
                 window: 0,
                 verdict: "strongly-dominant".into(),
                 prev_verdict: "none".into(),

@@ -93,6 +93,8 @@ pub enum Event {
         /// Transition tag ("dcl-appeared", "dcl-moved", "dcl-cleared",
         /// "dcl-unchanged").
         transition: String,
+        /// Fleet path index, when the stream is one path of a fleet.
+        path: Option<u64>,
         /// 0-based streaming window index.
         window: usize,
         /// This window's verdict ("strongly-dominant",
@@ -306,6 +308,7 @@ mod tests {
             },
             Event::VerdictTransition {
                 transition: "dcl-moved".into(),
+                path: Some(2),
                 window: 7,
                 verdict: "strongly-dominant".into(),
                 prev_verdict: "weakly-dominant".into(),
@@ -380,7 +383,7 @@ mod tests {
 {"kind":"em-restart","model":"mmhd","restart":0,"iterations":60,"converged":true,"reason":"tol","log_likelihood":-10.25}
 {"kind":"em-guard","model":"hmm","restart":3,"attempt":1,"reason":"likelihood-decrease"}
 {"kind":"fault-injection","fault":"gilbert-elliott","seed":64023,"affected":42}
-{"kind":"verdict-transition","transition":"dcl-moved","window":7,"verdict":"strongly-dominant","prev_verdict":"weakly-dominant","mode":4,"num_probes":3000,"loss_rate":0.03125}
+{"kind":"verdict-transition","transition":"dcl-moved","path":2,"window":7,"verdict":"strongly-dominant","prev_verdict":"weakly-dominant","mode":4,"num_probes":3000,"loss_rate":0.03125}
 {"kind":"verdict-provenance","verdict":"strongly-dominant","model":"mmhd","warm":true,"restarts":6,"iterations":42,"converged":true,"guard_trips":1,"log_likelihood":-987.25,"degraded":false,"sdcl_accepted":true,"sdcl_margin":0.03125,"sdcl_d_star":4,"wdcl_accepted":true,"wdcl_margin":0.0625,"wdcl_d_star":4,"num_probes":1500,"loss_rate":0.015625,"bin_width_us":32000,"path":17,"window":3,"first_seq":4500,"last_seq":5999}
 {"kind":"verdict-provenance","verdict":"no-dominant","model":"hmm","warm":false,"restarts":2,"iterations":200,"converged":false,"guard_trips":0,"log_likelihood":-12.5,"degraded":true,"sdcl_accepted":false,"sdcl_margin":-0.25,"sdcl_d_star":null,"wdcl_accepted":false,"wdcl_margin":-0.125,"wdcl_d_star":2,"num_probes":800,"loss_rate":0.00390625,"bin_width_us":4000,"path":null,"window":null,"first_seq":null,"last_seq":null}
 {"kind":"span-open","name":"identify","id":11400714819323198485,"parent":0}
@@ -411,6 +414,7 @@ mod tests {
     fn non_finite_floats_are_flagged_and_fail_round_trip() {
         let ev = Event::VerdictTransition {
             transition: "dcl-appeared".into(),
+            path: None,
             window: 0,
             verdict: "weakly-dominant".into(),
             prev_verdict: "none".into(),

@@ -105,12 +105,13 @@ proptest! {
     fn verdict_transition_round_trips(
         parts in (
             (pick(VERDICTS), pick(VERDICTS), 1usize..100_000, 0.0f64..1.0),
-            (0usize..512, 0usize..32),
+            (opt_u64(), 0usize..512, 0usize..32),
         )
     ) {
-        let ((verdict, prev_verdict, num_probes, loss_rate), (window, mode)) = parts;
+        let ((verdict, prev_verdict, num_probes, loss_rate), (path, window, mode)) = parts;
         assert_round_trips(&Event::VerdictTransition {
             transition: "dcl-moved".into(),
+            path,
             window,
             verdict,
             prev_verdict,

@@ -262,18 +262,8 @@ pub fn try_fit(obs: &[Obs], opts: &EmOptions) -> Result<FitResult, FitError> {
     em::try_fit(obs, opts)
 }
 
-/// Fit an MMHD to `obs` by EM with random restarts.
-///
-/// Thin wrapper over [`try_fit`] preserving the historical contract:
-/// panics if the sequence is empty, contains symbols outside
-/// `1..=num_symbols`, or no restart survives the numerical guards. Prefer
-/// [`try_fit`] on untrusted measurement data.
-pub fn fit(obs: &[Obs], opts: &EmOptions) -> FitResult {
-    try_fit(obs, opts).unwrap_or_else(|e| panic!("mmhd fit failed: {e}"))
-}
-
-/// Fit an MMHD to `obs` warm-started from a previously fitted model
-/// instead of the restart schedule.
+/// Fit an MMHD to `obs` warm-started from a previously fitted model,
+/// ahead of the restart schedule.
 ///
 /// The streaming engine refits overlapping windows whose optimum moves
 /// slowly, so it seeds EM from the previous window's parameters. The
@@ -285,10 +275,11 @@ pub fn fit(obs: &[Obs], opts: &EmOptions) -> FitResult {
 /// left the regime the seed describes. On the `stream` benchmark a
 /// quarter of the warm starts go that way, and a decision spends 117.5
 /// E-steps (162.5 when every such zero, π's included, sent the window
-/// to the cold schedule through a guard trip). A warm trajectory that
-/// trips a guard, or an `init` with the wrong dimensions, falls back to
-/// [`try_fit`] too (see [`dcl_probnum::em::fit_warm`]); the result is a
-/// pure function of `(obs, opts, init)`.
+/// to the cold schedule through a guard trip). An `init` with the wrong
+/// dimensions is fitted by [`try_fit`] too, and a warm trajectory that
+/// trips a guard goes on into its restarts (see
+/// [`dcl_probnum::em::fit_warm`]); the result is a pure function of
+/// `(obs, opts, init)`.
 pub fn fit_warm(obs: &[Obs], opts: &EmOptions, init: &Mmhd) -> Result<FitResult, FitError> {
     em::fit_warm(obs, opts, init)
 }
@@ -300,21 +291,22 @@ mod tests {
 
     #[test]
     fn fit_rejects_empty_and_bad_alphabet() {
-        assert!(std::panic::catch_unwind(|| fit(&[], &EmOptions::default())).is_err());
-        assert!(std::panic::catch_unwind(|| fit(&[Obs::Sym(99)], &EmOptions::default())).is_err());
+        assert!(try_fit(&[], &EmOptions::default()).is_err());
+        assert!(try_fit(&[Obs::Sym(99)], &EmOptions::default()).is_err());
     }
 
     #[test]
     fn fit_handles_all_loss_free_data() {
         let obs: Vec<Obs> = (0..500).map(|i| Obs::Sym(1 + (i % 3) as u16)).collect();
-        let r = fit(
+        let r = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
                 num_symbols: 3,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.log_likelihood.is_finite());
         assert!(r.model.loss_probs().iter().all(|&c| c < 1e-9));
     }
@@ -322,7 +314,7 @@ mod tests {
     #[test]
     fn fit_handles_short_sequences() {
         let obs = [Obs::Sym(1), Obs::Loss, Obs::Sym(2)];
-        let r = fit(
+        let r = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
@@ -330,7 +322,8 @@ mod tests {
                 max_iters: 50,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.log_likelihood.is_finite());
         assert!(r.model.loss_delay_pmf(&obs).is_some());
     }
@@ -419,7 +412,7 @@ mod tests {
     #[test]
     fn converged_flag_reflects_tolerance() {
         let obs: Vec<Obs> = (0..200).map(|i| Obs::Sym(1 + (i % 2) as u16)).collect();
-        let strict = fit(
+        let strict = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
@@ -428,10 +421,11 @@ mod tests {
                 max_iters: 3,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(!strict.converged);
         assert_eq!(strict.iterations, 3);
-        let loose = fit(
+        let loose = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
@@ -440,7 +434,8 @@ mod tests {
                 max_iters: 50,
                 ..EmOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert!(loose.converged);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! The observation at time `t` is `d_t` if the probe was delivered and a
 //! loss otherwise; `c_m = P(loss | d_t = m)` links losses to the unobserved
-//! delay. [`fit`] runs the EM algorithm of Appendix B;
+//! delay. [`try_fit`] runs the EM algorithm of Appendix B;
 //! [`Mmhd::loss_delay_pmf`] computes the paper's Eq. (5).
 
 #![forbid(unsafe_code)]
@@ -23,7 +23,7 @@ mod em;
 mod model;
 
 pub use em::{
-    em_step, em_step_with, fit, fit_warm, try_fit, EmBudget, EmOptions, EmScratch, FitResult,
+    em_step, em_step_with, fit_warm, try_fit, EmBudget, EmOptions, EmScratch, FitResult,
     MmhdSettings,
 };
 pub use model::Mmhd;
@@ -58,7 +58,7 @@ mod tests {
         let losses = obs.iter().filter(|o| o.is_loss()).count();
         assert!(losses > 200, "{losses} losses");
 
-        let fit = fit(
+        let fit = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
@@ -74,7 +74,8 @@ mod tests {
                     tied_loss: false,
                 },
             },
-        );
+        )
+        .unwrap();
         let inferred = fit.model.loss_delay_pmf(&obs).expect("losses present");
         let truth_pmf = truth.loss_delay_pmf(&obs).expect("losses present");
         let tv = inferred.total_variation(&truth_pmf);
@@ -102,7 +103,7 @@ mod tests {
         // The generator's loss probabilities are genuinely tied per symbol
         // and its transitions are unstructured, so fit in tied mode (the
         // untied model has nothing to hang the extra freedom on here).
-        let fit = fit(
+        let fit = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 2,
@@ -118,7 +119,8 @@ mod tests {
                     tied_loss: true,
                 },
             },
-        );
+        )
+        .unwrap();
         let inferred = fit.model.loss_delay_pmf(&obs).expect("losses present");
         // A randomly-wired generator has little temporal structure to pin
         // the loss symbols down, so require qualitative recovery: the bulk
@@ -157,7 +159,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(31);
         let obs = truth.generate(&mut rng, 50_000);
-        let fit = fit(
+        let fit = try_fit(
             &obs,
             &EmOptions {
                 num_hidden: 1,
@@ -173,7 +175,8 @@ mod tests {
                     tied_loss: false,
                 },
             },
-        );
+        )
+        .unwrap();
         // Empirical bigram estimate of P(1 -> 1).
         let mut n11 = 0.0;
         let mut n1 = 0.0;

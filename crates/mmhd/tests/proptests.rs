@@ -155,8 +155,8 @@ proptest! {
         // No capture is open on this thread: the baseline records nothing,
         // whatever the tests running beside it capture.
         prop_assert!(!dcl_metrics::is_enabled() && !dcl_metrics::obs::is_enabled());
-        let off = dcl_mmhd::fit(&obs, &opts);
-        let (on, captured) = dcl_metrics::capture(|| dcl_mmhd::fit(&obs, &opts));
+        let off = dcl_mmhd::try_fit(&obs, &opts).unwrap();
+        let (on, captured) = dcl_metrics::capture(|| dcl_mmhd::try_fit(&obs, &opts).unwrap());
         let events = captured.events;
         prop_assert!(!events.is_empty(), "enabled fit emitted no events");
         prop_assert!(events.iter().any(|e| e.kind() == "em-restart"));
@@ -501,7 +501,7 @@ fn budgeted_and_warm_schedules_keep_the_fit_contract() {
 
 /// The test-only plain-EM oracle: restart 0's prepared initial model
 /// stepped by `em_step_with` until the tolerance or `cap` steps, and the
-/// returned model's log-likelihood — the trajectory `em_trajectory` ran before
+/// returned model's log-likelihood — the trajectory an EM fit ran before
 /// SQUAREM.
 fn plain_em(obs: &[Obs], opts: &dcl_mmhd::EmOptions, cap: usize) -> (Mmhd, f64) {
     let mut model = <Mmhd as EmModel>::initial_model(obs, opts, opts.seed);

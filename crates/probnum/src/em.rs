@@ -1,13 +1,13 @@
 //! The EM fit schedule shared by the HMM and the MMHD.
 //!
-//! Both models fit by the same guarded schedule: random restarts, each a
-//! SQUAREM-accelerated trajectory of EM steps that stops at the tolerance
-//! or the E-step cap, retried from an escalated seed when a numerical
-//! guard trips, with the best likelihood winning. An optional
-//! [`EmBudget`] bounds the work of the whole fit, and [`fit_warm`] seeds
-//! one trajectory from a previous fit. The model crates supply the
-//! numerics through [`EmModel`]; this module owns the schedule, its
-//! options, its guards and its observability, so each exists once.
+//! Both models fit by one guarded schedule: random restarts, each a
+//! guarded attempt (a resumable SQUAREM-accelerated trajectory of EM
+//! steps that stops at the tolerance or the E-step cap) retried from an
+//! escalated seed when a numerical guard trips, the best likelihood
+//! winning. [`fit_warm`] runs a previous fit as one more attempt ahead of
+//! the restarts, and an optional [`EmBudget`] bounds the work of them all.
+//! The model crates supply the numerics through [`EmModel`]; this module
+//! owns the schedule, its options, guards and observability, once.
 
 use crate::dist::Pmf;
 use crate::obs::{validate_sequence, FitError, Obs};
@@ -285,94 +285,44 @@ pub fn try_fit<M: EmModel>(
     opts: &EmOptions<M::Settings>,
 ) -> Result<FitResult<M>, FitError> {
     validate(obs, opts)?;
-    fit_restarts(obs, opts)
+    fit_restarts(obs, opts, None)
 }
 
-/// Fit warm-started from a previously fitted model instead of the
-/// restart schedule.
+/// Fit warm-started from a previously fitted model: the seed runs as one
+/// guarded attempt ahead of the restart schedule, and is the fit if it
+/// survives.
 ///
 /// The seed is `init` with its initial distribution and loss
 /// probabilities mixed with the uniform distribution over their outcomes
 /// at weight ε = 1e-3 ([`EmModel::warm_floor_mut`]), so neither the old
 /// window's first state nor a loss in a state that lost nothing before
-/// is impossible. The transitions keep their zeros. A window that takes
-/// a transition the seed rules out has likelihood 0 under it: it left
-/// the regime the seed was fitted on, so the fit falls back to
-/// [`try_fit`] without running the seed, and no guard trips. Otherwise
-/// the warm trajectory runs the same guarded iteration as a restart
-/// (the seed prepared for the *current* observations, the same guards).
-/// If it trips a guard — or `init` has the wrong dimensions for `opts` —
-/// the fit falls back to [`try_fit`] too, and the trip is included in
-/// [`FitResult::guard_trips`]. The result is a pure function of `(obs,
-/// opts, init)`: the warm path draws no random numbers and the fallback
-/// uses the deterministic restart seeds.
+/// is impossible. The transitions keep their zeros: a window that takes
+/// a transition the seed rules out has likelihood 0 under it, so it left
+/// the seed's regime and is fitted by [`try_fit`] without a guard trip,
+/// as is an `init` of the wrong dimensions. A seed that trips a guard
+/// leaves the restarts what it left of any budget, and its trip counts
+/// in [`FitResult::guard_trips`]. The result is a pure function of
+/// `(obs, opts, init)`: the seed draws no random numbers.
 pub fn fit_warm<M: EmModel>(
     obs: &[Obs],
     opts: &EmOptions<M::Settings>,
     init: &M,
 ) -> Result<FitResult<M>, FitError> {
     validate(obs, opts)?;
-    let names = M::NAMES;
-    if init.dims() != (opts.num_hidden, opts.num_symbols) {
-        // `init` cannot seed this fit (dimension change): cold-start.
-        dcl_metrics::counter(names.warm_fallbacks, 1);
-        return fit_restarts(obs, opts);
+    let mut seed = None;
+    if init.dims() == (opts.num_hidden, opts.num_symbols) {
+        dcl_metrics::counter(M::NAMES.warm_starts, 1);
+        let mut s = init.clone();
+        floor_params(&mut s);
+        s.prepare(obs, opts);
+        seed = Some(s).filter(|s| s.log_likelihood(obs).is_finite());
     }
-    dcl_metrics::counter(names.warm_starts, 1);
-    let cap = match opts.budget {
-        Some(b) => opts.max_iters.min(b.max_iters.max(1)),
-        None => opts.max_iters,
-    };
-    let mut seed = init.clone();
-    floor_params(&mut seed);
-    seed.prepare(obs, opts);
-    if !seed.log_likelihood(obs).is_finite() {
-        // The window left the seed's regime: the cold schedule, on the
-        // whole budget.
-        dcl_metrics::counter(names.warm_fallbacks, 1);
-        return fit_restarts(obs, opts);
+    if seed.is_none() {
+        // A dimension change, or a window that left the seed's regime:
+        // the cold schedule, on the whole budget.
+        dcl_metrics::counter(M::NAMES.warm_fallbacks, 1);
     }
-    let warm = {
-        let _span = dcl_metrics::span(names.warm_span);
-        em_trajectory(obs, opts, 0, seed, cap)
-    };
-    match warm {
-        Ok(mut fit) => {
-            if opts.budget.is_some()
-                && !fit.converged
-                && fit.iterations == cap
-                && cap < opts.max_iters
-            {
-                fit.degraded = true;
-                dcl_metrics::counter(names.budget_clipped, 1);
-            }
-            Ok(fit)
-        }
-        Err((reason, spent)) => {
-            dcl_metrics::counter(names.guard_trips, 1);
-            dcl_metrics::counter(names.warm_fallbacks, 1);
-            dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::EmGuard {
-                model: names.model.to_string(),
-                restart: 0,
-                // Attempt 0 marks the warm trajectory; restart-schedule
-                // retries start counting attempts at 1.
-                attempt: 0,
-                reason: format!("warm:{reason}"),
-            });
-            // The warm trajectory spent part of any budget; the cold
-            // fallback runs on the deterministic remainder.
-            let rest = EmOptions {
-                budget: opts.budget.map(|b| EmBudget {
-                    max_iters: b.max_iters.saturating_sub(spent),
-                    max_guard_trips: b.max_guard_trips.saturating_sub(1),
-                }),
-                ..*opts
-            };
-            let mut fit = fit_restarts(obs, &rest)?;
-            fit.guard_trips += 1;
-            Ok(fit)
-        }
-    }
+    fit_restarts(obs, opts, seed)
 }
 
 /// Reject sequences the model cannot fit under `opts`.
@@ -393,10 +343,9 @@ struct Remaining {
 
 impl Remaining {
     fn of(budget: Option<EmBudget>) -> Remaining {
-        let (iters, trips) = match budget {
-            Some(b) => (b.max_iters.max(1), b.max_guard_trips),
-            None => (usize::MAX, usize::MAX),
-        };
+        let (iters, trips) = budget.map_or((usize::MAX, usize::MAX), |b| {
+            (b.max_iters.max(1), b.max_guard_trips)
+        });
         Remaining {
             iters,
             trips,
@@ -405,35 +354,46 @@ impl Remaining {
     }
 }
 
-/// The restart schedule and its reduction. A budgeted fit that ends with
+/// The fit schedule and its reduction: the prepared `warm` seed, if any,
+/// then, unless it survived, the restarts. A budgeted fit that ends with
 /// no survivor returns a deterministic initial-model fallback (flagged
 /// degraded) so the caller still gets a verdict; a generous budget
 /// reproduces the unbudgeted schedule exactly.
 fn fit_restarts<M: EmModel>(
     obs: &[Obs],
     opts: &EmOptions<M::Settings>,
+    warm: Option<M>,
 ) -> Result<FitResult<M>, FitError> {
-    let names = M::NAMES;
     let mut left = Remaining::of(opts.budget);
-    let candidates = if opts.budget.is_none() {
-        dcl_parallel::par_map_indexed(opts.parallelism, opts.restarts, |r| {
-            guarded_restart(obs, opts, r, &mut Remaining::of(None))
-        })
-    } else {
-        // The budget is a sequential resource: serial restarts make the
-        // spend schedule, and with it every seed and every event, the
-        // same at any thread count.
-        let mut out = Vec::with_capacity(opts.restarts);
-        for r in 0..opts.restarts {
-            if left.iters == 0 {
-                left.clipped = true;
-            }
-            if left.clipped {
-                break;
-            }
-            out.push(guarded_restart(obs, opts, r, &mut left));
+    let warm = warm.map(|seed| guarded_attempt(obs, opts, 0, 0, seed, &mut left));
+    // A warm trip counts in the fit's guard trips, not in the restarts'
+    // error.
+    let warm_trips = usize::from(matches!(warm, Some(None)));
+    if warm_trips == 1 {
+        // The restarts run on what the seed left of the budget, at least
+        // one E-step, and on the trips after its own.
+        dcl_metrics::counter(M::NAMES.warm_fallbacks, 1);
+        left.iters = left.iters.max(1);
+        left.trips = left.trips.saturating_sub(1);
+    }
+    let candidates = match warm.flatten() {
+        Some(fit) => vec![(Some(fit), 0)],
+        None if opts.budget.is_none() => {
+            dcl_parallel::par_map_indexed(opts.parallelism, opts.restarts, |r| {
+                guarded_restart(obs, opts, r, &mut Remaining::of(None))
+            })
         }
-        out
+        None => {
+            // The budget is a sequential resource: serial restarts make
+            // the spend schedule, and with it every seed and every event,
+            // the same at any thread count.
+            (0..opts.restarts)
+                .map_while(|r| {
+                    left.clipped |= left.iters == 0;
+                    (!left.clipped).then(|| guarded_restart(obs, opts, r, &mut left))
+                })
+                .collect()
+        }
     };
 
     let mut best: Option<FitResult<M>> = None;
@@ -450,12 +410,13 @@ fn fit_restarts<M: EmModel>(
         restarts: opts.restarts,
         guard_trips,
     };
+    let guard_trips = guard_trips + warm_trips;
     match best {
         Some(mut b) => {
             b.guard_trips = guard_trips;
             if left.clipped {
                 b.degraded = true;
-                dcl_metrics::counter(names.budget_clipped, 1);
+                dcl_metrics::counter(M::NAMES.budget_clipped, 1);
             }
             Ok(b)
         }
@@ -468,7 +429,7 @@ fn fit_restarts<M: EmModel>(
             if !ll.is_finite() {
                 return Err(all_tripped);
             }
-            dcl_metrics::counter(names.budget_fallbacks, 1);
+            dcl_metrics::counter(M::NAMES.budget_fallbacks, 1);
             Ok(FitResult {
                 model,
                 log_likelihood: ll,
@@ -498,56 +459,75 @@ fn attempt_seed<X>(opts: &EmOptions<X>, r: usize, trips: usize) -> u64 {
     base.wrapping_add(r as u64 * 0x9E37)
 }
 
-/// Restart `r` with guarded retries, each attempt capped by the remaining
-/// budget. Returns the first attempt that survives the guards, if any,
-/// and the guard trips spent; sets `left.clipped` when the budget stopped
-/// it (an attempt cut short by a budget-reduced cap is marked degraded).
+/// Restart `r`: guarded attempts from escalating seeds until one survives
+/// or the retries or the budget run out. The survivor and the trips spent.
 fn guarded_restart<M: EmModel>(
     obs: &[Obs],
     opts: &EmOptions<M::Settings>,
     r: usize,
     left: &mut Remaining,
 ) -> (Option<FitResult<M>>, usize) {
-    let names = M::NAMES;
-    let _span = dcl_metrics::span(names.restart_span);
+    let _span = dcl_metrics::span(M::NAMES.restart_span);
     let mut trips = 0usize;
     loop {
-        let cap = opts.max_iters.min(left.iters);
         let mut model = M::initial_model(obs, opts, attempt_seed(opts, r, trips));
         model.prepare(obs, opts);
-        match em_trajectory(obs, opts, r, model, cap) {
-            Ok(mut fit) => {
-                left.iters = left.iters.saturating_sub(fit.iterations.max(1));
-                if !fit.converged && fit.iterations == cap && cap < opts.max_iters {
-                    // Stopped by the budget, not the configured cap.
-                    fit.degraded = true;
-                    left.clipped = true;
-                }
-                return (Some(fit), trips);
+        if let Some(fit) = guarded_attempt(obs, opts, r, trips + 1, model, left) {
+            return (Some(fit), trips);
+        }
+        trips += 1;
+        // Out of trips, or of E-steps with a retry left: the budget clips.
+        let clipped = left.trips == 0 || (trips <= GUARD_RETRIES && left.iters == 0);
+        left.trips = left.trips.saturating_sub(1);
+        if clipped || trips > GUARD_RETRIES {
+            left.clipped = clipped;
+            return (None, trips);
+        }
+    }
+}
+
+/// One guarded trajectory from `model`, prepared for `obs`, capped by the
+/// budget `left` and charged to it: attempt `attempt` (from 1) of restart
+/// `r`, or 0 for [`fit_warm`]'s seed (in the warm span). A guard trip
+/// records its `em-guard` event and gives `None`.
+fn guarded_attempt<M: EmModel>(
+    obs: &[Obs],
+    opts: &EmOptions<M::Settings>,
+    r: usize,
+    attempt: usize,
+    model: M,
+    left: &mut Remaining,
+) -> Option<FitResult<M>> {
+    let names = M::NAMES;
+    let cap = opts.max_iters.min(left.iters);
+    let run = {
+        let _warm = (attempt == 0).then(|| dcl_metrics::span(names.warm_span));
+        let mut trajectory = Trajectory::new(obs, opts, r, model, cap);
+        trajectory.advance(cap).and_then(|()| trajectory.finish())
+    };
+    match run {
+        Ok(mut fit) => {
+            left.iters = left.iters.saturating_sub(fit.iterations.max(1));
+            if !fit.converged && fit.iterations == cap && cap < opts.max_iters {
+                // Stopped by the budget, not the configured cap.
+                fit.degraded = true;
+                left.clipped = true;
             }
-            Err((reason, spent)) => {
-                left.iters = left.iters.saturating_sub(spent.max(1));
-                trips += 1;
-                dcl_metrics::counter(names.guard_trips, 1);
-                dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::EmGuard {
-                    model: names.model.to_string(),
-                    restart: r,
-                    attempt: trips,
-                    reason: reason.to_string(),
-                });
-                if left.trips == 0 {
-                    left.clipped = true;
-                    return (None, trips);
-                }
-                left.trips -= 1;
-                if trips > GUARD_RETRIES {
-                    return (None, trips);
-                }
-                if left.iters == 0 {
-                    left.clipped = true;
-                    return (None, trips);
-                }
-            }
+            Some(fit)
+        }
+        Err((reason, spent)) => {
+            left.iters = left.iters.saturating_sub(spent.max(1));
+            dcl_metrics::counter(names.guard_trips, 1);
+            dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::EmGuard {
+                model: names.model.to_string(),
+                restart: r,
+                attempt,
+                reason: match attempt {
+                    0 => format!("warm:{reason}"),
+                    _ => reason.to_string(),
+                },
+            });
+            None
         }
     }
 }
@@ -559,10 +539,8 @@ type Trip = (&'static str, usize);
 /// feasible point before the cycle settles for `θ₂` itself.
 const MAX_BACKTRACKS: usize = 10;
 
-/// One guarded EM trajectory from a concrete initial model, already
-/// prepared for `obs` (the restart schedule's seeded one, or
-/// [`fit_warm`]'s seed), capped at `cap` E-steps. The restart index `r`
-/// only labels observability events.
+/// One guarded EM trajectory from a model prepared for `obs`, its E-step
+/// cap fixed when it is built; the restart index `r` only labels events.
 ///
 /// The trajectory runs SqS3 SQUAREM cycles (Varadhan & Roland, Scand. J.
 /// Statist. 35, 2008) of three E-steps: two EM steps `θ₁ = F(θ₀)`, `θ₂ =
@@ -572,94 +550,18 @@ const MAX_BACKTRACKS: usize = 10;
 /// `F(θ′)`, accepted only if the likelihood of `θ′` is at least the best
 /// one the trajectory has accepted, else the trajectory goes on from `θ₂`.
 /// At `α = −1` the point is `θ₂` itself and the cycle is three plain
-/// steps. Only accepted steps pass through the guards. With fewer than
-/// three E-steps left the trajectory takes plain steps, so it never
-/// overshoots `cap`. The extrapolation is affine, so it keeps row sums
-/// and every exact zero the three iterates share.
-///
-/// `Err((reason, spent))` when a guard trips on an accepted step:
-/// non-finite likelihood, a likelihood decrease beyond numerical noise,
-/// non-finite parameters, or a non-finite likelihood of the returned
-/// model; `spent` is the E-steps consumed (budget accounting).
-fn em_trajectory<M: EmModel>(
-    obs: &[Obs],
-    opts: &EmOptions<M::Settings>,
-    r: usize,
-    mut model: M,
-    cap: usize,
-) -> Result<FitResult<M>, Trip> {
-    let names = M::NAMES;
-    let mut em = Stepper::<M> {
-        obs,
-        r,
-        tol: opts.tol,
-        scratch: M::Scratch::default(),
-        steps: 0,
-        last_ll: f64::NEG_INFINITY,
-        best_ll: f64::NEG_INFINITY,
-    };
-    // `model` is θ₀; θ₁ (which the candidate θ′ overwrites) and θ₂ live
-    // here for the whole trajectory, and each step overwrites one of the
-    // three.
-    let (mut t1, mut t2) = (model.clone(), model.clone());
-    let mut converged = false;
-    while em.steps < cap && !converged {
-        if cap - em.steps < 3 {
-            converged = em.plain(&model, &mut t1)?;
-            std::mem::swap(&mut model, &mut t1);
-        } else if em.plain(&model, &mut t1)? {
-            std::mem::swap(&mut model, &mut t1);
-            converged = true;
-        } else if em.plain(&t1, &mut t2)? {
-            std::mem::swap(&mut model, &mut t2);
-            converged = true;
-        } else if !extrapolate(&model, &mut t1, &t2) {
-            // α = −1: the candidate is θ₂, and the stabilising step a
-            // plain one.
-            converged = em.plain(&t2, &mut model)?;
-        } else {
-            let ll = em.step(&t1, &mut model);
-            if ll >= em.best_ll {
-                converged = em.accept(&t1, &model, ll)?;
-            } else {
-                std::mem::swap(&mut model, &mut t2);
-            }
-        }
-    }
-    let iterations = em.steps;
-    let final_ll = model.log_likelihood(obs);
-    if !final_ll.is_finite() {
-        return Err(("degenerate-posterior", iterations));
-    }
-    dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::EmRestart {
-        model: names.model.to_string(),
-        restart: r,
-        iterations,
-        converged,
-        reason: if converged { "tol" } else { "max-iters" }.to_string(),
-        log_likelihood: final_ll,
-    });
-    dcl_metrics::counter(names.restarts, 1);
-    dcl_metrics::counter(names.iterations, iterations as u64);
-    dcl_metrics::observe(names.iters_per_restart, iterations as u64);
-    if converged {
-        dcl_metrics::counter(names.converged, 1);
-    }
-    Ok(FitResult {
-        model,
-        log_likelihood: final_ll,
-        iterations,
-        converged,
-        guard_trips: 0,
-        degraded: false,
-    })
-}
-
-/// The E-step count and the guard state of one trajectory.
-struct Stepper<'a, M: EmModel> {
+/// steps. Only accepted steps pass through the guards: a non-finite
+/// likelihood, a likelihood decrease beyond numerical noise, non-finite
+/// parameters, and in [`Trajectory::finish`] a non-finite likelihood of
+/// the final model. The extrapolation is affine, so it keeps row sums and
+/// every exact zero the three iterates share.
+struct Trajectory<'a, M: EmModel> {
     obs: &'a [Obs],
     r: usize,
     tol: f64,
+    cap: usize,
+    /// θ₀, θ₁ (which the candidate θ′ overwrites) and θ₂.
+    theta: [M; 3],
     scratch: M::Scratch,
     /// E-steps spent.
     steps: usize,
@@ -667,27 +569,113 @@ struct Stepper<'a, M: EmModel> {
     last_ll: f64,
     /// The best log-likelihood of an accepted step's input model.
     best_ll: f64,
+    converged: bool,
 }
 
-impl<M: EmModel> Stepper<'_, M> {
-    /// One counted EM step from `from` into `to`; the log-likelihood of
-    /// `from`.
-    fn step(&mut self, from: &M, to: &mut M) -> f64 {
+impl<'a, M: EmModel> Trajectory<'a, M> {
+    fn new(obs: &'a [Obs], opts: &EmOptions<M::Settings>, r: usize, model: M, cap: usize) -> Self {
+        Trajectory {
+            obs,
+            r,
+            tol: opts.tol,
+            cap,
+            scratch: M::Scratch::default(),
+            theta: [model.clone(), model.clone(), model],
+            steps: 0,
+            last_ll: f64::NEG_INFINITY,
+            best_ll: f64::NEG_INFINITY,
+            converged: false,
+        }
+    }
+
+    /// Run SqS3 cycles, or plain steps once fewer than three E-steps are
+    /// left before the cap, while fewer than `until` E-steps are spent and
+    /// the trajectory has not converged. It stops only between cycles, so
+    /// it never passes the cap, and advancing to `k` and then to the cap is
+    /// advancing to the cap at once, bit for bit.
+    fn advance(&mut self, until: usize) -> Result<(), Trip> {
+        while self.steps < until.min(self.cap) && !self.converged {
+            if self.cap - self.steps < 3 {
+                self.converged = self.plain(0, 1)?;
+                self.theta.swap(0, 1);
+            } else if self.plain(0, 1)? {
+                self.theta.swap(0, 1);
+                self.converged = true;
+            } else if self.plain(1, 2)? {
+                self.theta.swap(0, 2);
+                self.converged = true;
+            } else if !extrapolate(&mut self.theta) {
+                // α = −1: the candidate is θ₂, and the stabilising step a
+                // plain one.
+                self.converged = self.plain(2, 0)?;
+            } else {
+                let ll = self.step(1, 0);
+                if ll >= self.best_ll {
+                    self.converged = self.accept(1, 0, ll)?;
+                } else {
+                    self.theta.swap(0, 2);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The final-likelihood guard, then the `em-restart` event and counters.
+    fn finish(self) -> Result<FitResult<M>, Trip> {
+        let names = M::NAMES;
+        let ([model, ..], iterations, converged) = (self.theta, self.steps, self.converged);
+        let final_ll = model.log_likelihood(self.obs);
+        if !final_ll.is_finite() {
+            return Err(("degenerate-posterior", iterations));
+        }
+        dcl_metrics::obs::record_with(|| dcl_metrics::obs::Event::EmRestart {
+            model: names.model.to_string(),
+            restart: self.r,
+            iterations,
+            converged,
+            reason: if converged { "tol" } else { "max-iters" }.to_string(),
+            log_likelihood: final_ll,
+        });
+        dcl_metrics::counter(names.restarts, 1);
+        dcl_metrics::counter(names.iterations, iterations as u64);
+        dcl_metrics::observe(names.iters_per_restart, iterations as u64);
+        if converged {
+            dcl_metrics::counter(names.converged, 1);
+        }
+        Ok(FitResult {
+            model,
+            log_likelihood: final_ll,
+            iterations,
+            converged,
+            guard_trips: 0,
+            degraded: false,
+        })
+    }
+
+    /// One counted EM step from `theta[from]` into `theta[to]`; the
+    /// log-likelihood of `theta[from]`.
+    fn step(&mut self, from: usize, to: usize) -> f64 {
         self.steps += 1;
+        let (lo, hi) = self.theta.split_at_mut(from.max(to));
+        let (from, to) = if from < to {
+            (&lo[from], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[to])
+        };
         from.em_step_into(self.obs, &mut self.scratch, to)
     }
 
-    /// Accept the step from `from` to `to`, whose input had
+    /// Accept the step from `theta[from]` to `theta[to]`, whose input had
     /// log-likelihood `ll`, through the guards. `Ok(true)` when its
     /// parameter change met the tolerance.
-    fn accept(&mut self, from: &M, to: &M, ll: f64) -> Result<bool, Trip> {
+    fn accept(&mut self, from: usize, to: usize, ll: f64) -> Result<bool, Trip> {
         if !ll.is_finite() {
             return Err(("non-finite-likelihood", self.steps));
         }
         if ll < self.last_ll - LL_DECREASE_SLACK * (1.0 + self.last_ll.abs()) {
             return Err(("likelihood-decrease", self.steps));
         }
-        let delta = max_param_diff(to, from);
+        let delta = max_param_diff(&self.theta[to], &self.theta[from]);
         if !delta.is_finite() {
             return Err(("non-finite-params", self.steps));
         }
@@ -703,8 +691,8 @@ impl<M: EmModel> Stepper<'_, M> {
         Ok(delta < self.tol)
     }
 
-    /// A plain EM step: [`Stepper::step`], then [`Stepper::accept`].
-    fn plain(&mut self, from: &M, to: &mut M) -> Result<bool, Trip> {
+    /// A plain EM step: a step, then its acceptance.
+    fn plain(&mut self, from: usize, to: usize) -> Result<bool, Trip> {
         let ll = self.step(from, to);
         self.accept(from, to, ll)
     }
@@ -717,7 +705,7 @@ impl<M: EmModel> Stepper<'_, M> {
 /// must then pass [`EmModel::is_feasible`] (its row sums). `false` when
 /// `α` reaches −1, whose point is `t2` itself, or the written point fails
 /// the check; `t1` may then hold either.
-fn extrapolate<M: EmModel>(t0: &M, t1: &mut M, t2: &M) -> bool {
+fn extrapolate<M: EmModel>([t0, t1, t2]: &mut [M; 3]) -> bool {
     fn point(a: f64, b: f64, c: f64, alpha: f64) -> f64 {
         let r = b - a;
         let v = c - b - r;
@@ -757,4 +745,371 @@ fn extrapolate<M: EmModel>(t0: &M, t1: &mut M, t2: &M) -> bool {
         }
     }
     t1.is_feasible()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcl_metrics::obs::Event;
+
+    /// A toy model whose EM step contracts two probabilities toward fixed
+    /// targets at different rates, so a SQUAREM cycle does not land on
+    /// the fixed point at once, and whose log-likelihood, a weighted sum,
+    /// rises as they approach: an extrapolation that overshoots the
+    /// heavy one loses likelihood. `fuse` is the number of E-steps the model can take
+    /// before its step returns a non-finite likelihood; `None` never
+    /// trips.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Toy {
+        p: [f64; 2],
+        fuse: Option<usize>,
+    }
+
+    const TARGET: [f64; 2] = [0.3, 0.6];
+    const RATE: [f64; 2] = [0.5, 0.9];
+    const WEIGHT: [f64; 2] = [100.0, 1.0];
+
+    static TOY_NAMES: EmNames = EmNames {
+        model: "toy",
+        restart_span: "toy.em.restart",
+        warm_span: "toy.em.warm",
+        restarts: "toy.em.restarts",
+        iterations: "toy.em.iterations",
+        iters_per_restart: "toy.em.iters_per_restart",
+        converged: "toy.em.converged",
+        guard_trips: "toy.em.guard_trips",
+        budget_clipped: "toy.em.budget_clipped",
+        budget_fallbacks: "toy.em.budget_fallbacks",
+        warm_starts: "toy.em.warm_starts",
+        warm_fallbacks: "toy.em.warm_fallbacks",
+    };
+
+    impl EmModel for Toy {
+        /// The fuse of the initial model seeded from an RNG seed.
+        type Settings = fn(u64) -> Option<usize>;
+        type Scratch = ();
+        const NAMES: &'static EmNames = &TOY_NAMES;
+
+        fn em_step_into(&self, obs: &[Obs], _: &mut (), out: &mut Toy) -> f64 {
+            for i in 0..2 {
+                out.p[i] = TARGET[i] + RATE[i] * (self.p[i] - TARGET[i]);
+            }
+            out.fuse = self.fuse.map(|f| f.saturating_sub(1));
+            match self.fuse {
+                Some(0) => f64::NAN,
+                _ => self.log_likelihood(obs),
+            }
+        }
+        fn initial_model(_: &[Obs], opts: &EmOptions<Self::Settings>, rng_seed: u64) -> Toy {
+            Toy {
+                p: [
+                    0.05 + (rng_seed % 9) as f64 / 10.0,
+                    0.95 - (rng_seed % 7) as f64 / 10.0,
+                ],
+                fuse: (opts.settings)(rng_seed),
+            }
+        }
+        fn prepare(&mut self, _: &[Obs], _: &EmOptions<Self::Settings>) {}
+        fn loss_delay_pmf(&self, _: &[Obs]) -> Option<Pmf> {
+            None
+        }
+        fn log_likelihood(&self, _: &[Obs]) -> f64 {
+            -(0..2)
+                .map(|i| WEIGHT[i] * (self.p[i] - TARGET[i]).powi(2))
+                .sum::<f64>()
+        }
+        fn dims(&self) -> (usize, usize) {
+            (1, 1)
+        }
+        fn params(&self) -> impl Iterator<Item = &[f64]> {
+            std::iter::once(&self.p[..])
+        }
+        fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+            std::iter::once(&mut self.p[..])
+        }
+        fn warm_floor_mut(&mut self) -> impl Iterator<Item = (&mut [f64], usize)> {
+            std::iter::empty()
+        }
+        fn is_feasible(&self) -> bool {
+            self.p.iter().all(|x| (0.0..=1.0).contains(x))
+        }
+    }
+
+    const OBS: &[Obs] = &[Obs::Sym(1); 8];
+
+    fn opts(
+        seed: u64,
+        restarts: usize,
+        fuse: fn(u64) -> Option<usize>,
+    ) -> EmOptions<fn(u64) -> Option<usize>> {
+        EmOptions {
+            num_hidden: 1,
+            num_symbols: 1,
+            tol: 1e-6,
+            max_iters: 50,
+            seed,
+            restarts,
+            parallelism: Some(1),
+            budget: None,
+            settings: fuse,
+        }
+    }
+
+    fn never(_: u64) -> Option<usize> {
+        None
+    }
+
+    /// Everything a fit reports, its floats by their bits.
+    fn key(fit: &FitResult<Toy>) -> ([u64; 2], u64, usize, bool, usize, bool) {
+        (
+            fit.model.p.map(f64::to_bits),
+            fit.log_likelihood.to_bits(),
+            fit.iterations,
+            fit.converged,
+            fit.guard_trips,
+            fit.degraded,
+        )
+    }
+
+    /// The schedule's events, iterations left out, as short labels.
+    fn schedule(events: &[Event]) -> Vec<String> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanOpen { name, .. } => Some(format!("open {name}")),
+                Event::SpanClose { name, .. } => Some(format!("close {name}")),
+                Event::EmGuard {
+                    restart,
+                    attempt,
+                    reason,
+                    ..
+                } => Some(format!("guard {restart}/{attempt} {reason}")),
+                Event::EmRestart {
+                    restart, converged, ..
+                } => Some(format!("restart {restart} {converged}")),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The fit of a `cap`-E-step trajectory advanced to each of `stops` in
+    /// turn, and its `em-iteration` events.
+    fn advanced(cap: usize, tol: f64, stops: &[usize]) -> (FitResult<Toy>, Vec<Event>) {
+        let o = EmOptions {
+            tol,
+            max_iters: cap,
+            ..opts(1, 1, never)
+        };
+        // Far from the light target and near the heavy one, so the first
+        // extrapolation overshoots the heavy one and is rejected.
+        let model = Toy {
+            p: [0.31, 0.95],
+            fuse: None,
+        };
+        let (fit, got) = dcl_metrics::capture(|| {
+            let mut trajectory = Trajectory::new(OBS, &o, 0, model, cap);
+            for &until in stops {
+                trajectory.advance(until).unwrap();
+            }
+            trajectory.finish().unwrap()
+        });
+        let iterations = got
+            .events
+            .into_iter()
+            .filter(|e| matches!(e, Event::EmIteration { .. }))
+            .collect();
+        (fit, iterations)
+    }
+
+    #[test]
+    fn a_trajectory_advanced_in_two_legs_is_the_one_advanced_once() {
+        for tol in [0.0, EmOptions::<()>::default().tol] {
+            for cap in 1..=12 {
+                let (fit, events) = advanced(cap, tol, &[cap]);
+                for k in 1..cap {
+                    let (resumed, resumed_events) = advanced(cap, tol, &[k, cap]);
+                    let case = format!("tol {tol}, cap {cap}, first leg to {k}");
+                    assert_eq!(key(&resumed), key(&fit), "{case}");
+                    assert_eq!(resumed_events, events, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tripped_restart_is_retried_from_the_escalated_seed() {
+        // Restart 0's attempt 0 draws seed 10; its retry draws 10 + 1 + 1.
+        let o = opts(10, 1, |s| (s == 10).then_some(0));
+        let (fit, got) = dcl_metrics::capture(|| try_fit::<Toy>(OBS, &o).unwrap());
+        assert_eq!(
+            schedule(&got.events),
+            [
+                "open toy.em.restart",
+                "guard 0/1 non-finite-likelihood",
+                "restart 0 true",
+                "close toy.em.restart",
+            ]
+        );
+        let clean = try_fit::<Toy>(OBS, &opts(12, 1, never)).unwrap();
+        assert!(clean.converged);
+        assert_eq!(
+            key(&fit),
+            key(&FitResult {
+                guard_trips: 1,
+                ..clean
+            })
+        );
+        assert_eq!(got.metrics.counter("toy.em.guard_trips"), 1);
+        assert_eq!(got.metrics.counter("toy.em.restarts"), 1);
+    }
+
+    #[test]
+    fn every_attempt_tripping_fails_the_fit() {
+        let o = opts(10, 2, |_| Some(0));
+        let (fit, got) = dcl_metrics::capture(|| try_fit::<Toy>(OBS, &o));
+        assert_eq!(
+            fit.unwrap_err(),
+            FitError::AllRestartsTripped {
+                restarts: 2,
+                guard_trips: 2 * (1 + GUARD_RETRIES),
+            }
+        );
+        assert_eq!(got.metrics.counter("toy.em.guard_trips"), 6);
+        assert_eq!(got.metrics.counter("toy.em.restarts"), 0);
+    }
+
+    /// A warm seed that trips on its second E-step.
+    const TRIPPING_SEED: Toy = Toy {
+        p: [0.5, 0.5],
+        fuse: Some(1),
+    };
+
+    #[test]
+    fn a_tripped_warm_seed_falls_back_to_the_cold_schedule() {
+        // Restart 0's first attempt trips too; restart 1 is clean.
+        let o = opts(20, 2, |s| (s == 20).then_some(0));
+        let (fit, got) = dcl_metrics::capture(|| fit_warm::<Toy>(OBS, &o, &TRIPPING_SEED).unwrap());
+        let cold = try_fit::<Toy>(OBS, &o).unwrap();
+        assert_eq!(cold.guard_trips, 1);
+        assert_eq!(
+            key(&fit),
+            key(&FitResult {
+                guard_trips: 2,
+                ..cold
+            })
+        );
+        assert_eq!(
+            schedule(&got.events),
+            [
+                "open toy.em.warm",
+                "close toy.em.warm",
+                "guard 0/0 warm:non-finite-likelihood",
+                "open toy.em.restart",
+                "guard 0/1 non-finite-likelihood",
+                "restart 0 true",
+                "close toy.em.restart",
+                "open toy.em.restart",
+                "restart 1 true",
+                "close toy.em.restart",
+            ]
+        );
+        for (name, n) in [
+            ("warm_starts", 1),
+            ("warm_fallbacks", 1),
+            ("guard_trips", 2),
+            ("restarts", 2),
+        ] {
+            assert_eq!(got.metrics.counter(&format!("toy.em.{name}")), n, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_tripped_warm_seed_leaves_the_cold_schedule_the_rest_of_its_budget() {
+        let clean: fn(u64) -> Option<usize> = never;
+        let cold_trip: fn(u64) -> Option<usize> = |s| (s == 20).then_some(0);
+        for (fuse, max_iters, max_guard_trips, degraded) in [
+            // The warm trip spends the one guard trip allowed; the cold
+            // schedule still runs unclipped: a warm trip is not refused.
+            (clean, 400, 0, false),
+            (clean, 400, 1, false),
+            // Two E-steps spent leave 4, fewer than the cold restart needs.
+            (clean, 6, 4, true),
+            // Nothing left: the cold schedule still gets one E-step.
+            (clean, 2, 4, true),
+            // The cold trip finds no trip left, and nothing survives.
+            (cold_trip, 400, 0, true),
+            (cold_trip, 400, 1, true),
+            (cold_trip, 400, 2, false),
+        ] {
+            let budget = EmBudget {
+                max_iters,
+                max_guard_trips,
+            };
+            let o = EmOptions {
+                budget: Some(budget),
+                ..opts(20, 2, fuse)
+            };
+            let case = format!("{budget:?}");
+            let (fit, got) =
+                dcl_metrics::capture(|| fit_warm::<Toy>(OBS, &o, &TRIPPING_SEED).unwrap());
+            // The warm seed's two E-steps and its trip come off the budget.
+            let rest = EmOptions {
+                budget: Some(EmBudget {
+                    max_iters: max_iters - 2,
+                    max_guard_trips: max_guard_trips.saturating_sub(1),
+                }),
+                ..o
+            };
+            let cold = try_fit::<Toy>(OBS, &rest).unwrap();
+            assert_eq!(
+                key(&fit),
+                key(&FitResult {
+                    guard_trips: cold.guard_trips + 1,
+                    ..cold
+                }),
+                "{case}"
+            );
+            assert_eq!(fit.degraded, degraded, "{case}");
+            assert_eq!(
+                got.metrics.counter("toy.em.budget_clipped")
+                    + got.metrics.counter("toy.em.budget_fallbacks"),
+                u64::from(degraded),
+                "{case}"
+            );
+            assert_eq!(
+                schedule(&got.events)[2],
+                "guard 0/0 warm:non-finite-likelihood",
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_warm_seed_that_survives_is_the_fit() {
+        let seed = Toy {
+            p: [0.5, 0.5],
+            fuse: None,
+        };
+        for budget in [
+            None,
+            Some(EmBudget {
+                max_iters: 3,
+                max_guard_trips: 0,
+            }),
+        ] {
+            let o = EmOptions {
+                budget,
+                ..opts(20, 2, never)
+            };
+            let (fit, got) = dcl_metrics::capture(|| fit_warm::<Toy>(OBS, &o, &seed).unwrap());
+            assert_eq!(fit.guard_trips, 0);
+            assert_eq!(fit.degraded, budget.is_some(), "{budget:?}");
+            assert_eq!(
+                got.metrics.counter("toy.em.budget_clipped"),
+                u64::from(budget.is_some())
+            );
+            assert_eq!(got.metrics.counter("toy.em.restarts"), 1);
+            assert_eq!(got.metrics.counter("toy.em.warm_fallbacks"), 0);
+        }
+    }
 }

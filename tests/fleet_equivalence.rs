@@ -9,8 +9,12 @@
 mod common;
 
 use common::Pattern;
-use dominant_congested_links::fleet::{Fleet, FleetConfig};
+use dominant_congested_links::fleet::{Fleet, FleetConfig, StreamingFleet};
 use dominant_congested_links::identification::identify::{identify, IdentifyConfig};
+use dominant_congested_links::identification::{StreamConfig, WindowSpec};
+use dominant_congested_links::metrics::{self, obs::Event};
+use dominant_congested_links::netsim::sim::ProbeRecord;
+use dominant_congested_links::netsim::time::Dur;
 
 fn quick_identify_cfg() -> IdentifyConfig {
     IdentifyConfig {
@@ -59,4 +63,43 @@ fn fleet_identify_all_matches_scalar_identify_bitwise() {
             "fleet path {i}"
         );
     }
+}
+
+/// A streaming fleet's `verdict-transition` events name their path: two
+/// paths fed the same records emit the same transitions, told apart only
+/// by `path`.
+#[test]
+fn streaming_fleet_transitions_carry_their_path() {
+    const PER: usize = 100;
+    let records = common::blocks("DLLLD", PER, 0).records;
+    let mut fleet = StreamingFleet::new(Some(2));
+    for _ in 0..2 {
+        let cfg = StreamConfig {
+            window: WindowSpec::Count(PER),
+            hop: PER,
+            warm_start: true,
+            identify: quick_identify_cfg(),
+        };
+        fleet.add_path(
+            cfg,
+            Dur::from_nanos(22_000_000),
+            Dur::from_nanos(20_000_000),
+        );
+    }
+    let chunks: [&[ProbeRecord]; 2] = [&records, &records];
+    let (_, captured) = metrics::capture(|| fleet.ingest_round(&chunks));
+    let paths: Vec<Option<u64>> = captured
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::VerdictTransition { path, .. } => Some(*path),
+            _ => None,
+        })
+        .collect();
+    let per_path = paths.len() / 2;
+    assert!(per_path > 0, "no transitions");
+    assert_eq!(
+        paths,
+        [vec![Some(0); per_path], vec![Some(1); per_path]].concat()
+    );
 }

@@ -45,9 +45,13 @@ fn hmm_fit_is_bitwise_identical_at_every_thread_count() {
             fit.model.params().map(bits).collect::<Vec<_>>(),
         )
     };
-    let reference = facts(&hmm::fit(&obs, &opts(Some(1))));
+    let reference = facts(&hmm::try_fit(&obs, &opts(Some(1))).unwrap());
     for p in PARALLELISMS {
-        assert_eq!(facts(&hmm::fit(&obs, &opts(p))), reference, "at {p:?}");
+        assert_eq!(
+            facts(&hmm::try_fit(&obs, &opts(p)).unwrap()),
+            reference,
+            "at {p:?}"
+        );
     }
 }
 
@@ -78,9 +82,13 @@ fn mmhd_fit_is_bitwise_identical_at_every_thread_count() {
             fit.model.params().map(bits).collect::<Vec<_>>(),
         )
     };
-    let reference = facts(&mmhd::fit(&obs, &opts(Some(1))));
+    let reference = facts(&mmhd::try_fit(&obs, &opts(Some(1))).unwrap());
     for p in PARALLELISMS {
-        assert_eq!(facts(&mmhd::fit(&obs, &opts(p))), reference, "at {p:?}");
+        assert_eq!(
+            facts(&mmhd::try_fit(&obs, &opts(p)).unwrap()),
+            reference,
+            "at {p:?}"
+        );
     }
 }
 

@@ -288,14 +288,14 @@ fn warm_fits_stay_finite_and_mismatched_inits_fall_back_to_cold() {
         let a = synth_obs(800, 5, salt);
         let b = synth_obs(800, 5, salt + 100);
 
-        let cold_h = hmm::fit(&a, &hmm_opts(2));
+        let cold_h = hmm::try_fit(&a, &hmm_opts(2)).unwrap();
         let warm_h = hmm::fit_warm(&b, &hmm_opts(2), &cold_h.model).expect("hmm warm fit");
         assert!(
             warm_h.log_likelihood.is_finite(),
             "salt {salt}: hmm warm LL non-finite"
         );
 
-        let cold_m = mmhd::fit(&a, &mmhd_opts(2));
+        let cold_m = mmhd::try_fit(&a, &mmhd_opts(2)).unwrap();
         let warm_m = mmhd::fit_warm(&b, &mmhd_opts(2), &cold_m.model).expect("mmhd warm fit");
         assert!(
             warm_m.log_likelihood.is_finite(),
@@ -304,7 +304,7 @@ fn warm_fits_stay_finite_and_mismatched_inits_fall_back_to_cold() {
 
         // A three-state init offered to a two-state fit cannot be used:
         // the fallback must be exactly the cold fit, bit for bit.
-        let wrong_h = hmm::fit(&a, &hmm_opts(3));
+        let wrong_h = hmm::try_fit(&a, &hmm_opts(3)).unwrap();
         let fell_back = hmm::fit_warm(&b, &hmm_opts(2), &wrong_h.model).expect("fallback fit");
         let reference = hmm::try_fit(&b, &hmm_opts(2)).expect("cold fit");
         assert_eq!(
@@ -313,7 +313,7 @@ fn warm_fits_stay_finite_and_mismatched_inits_fall_back_to_cold() {
             "salt {salt}: hmm dimension fallback is not the cold fit"
         );
 
-        let wrong_m = mmhd::fit(&a, &mmhd_opts(3));
+        let wrong_m = mmhd::try_fit(&a, &mmhd_opts(3)).unwrap();
         let fell_back = mmhd::fit_warm(&b, &mmhd_opts(2), &wrong_m.model).expect("fallback fit");
         let reference = mmhd::try_fit(&b, &mmhd_opts(2)).expect("cold fit");
         assert_eq!(
