@@ -8,9 +8,9 @@
 //! margin that decided the verdict — grouped by fleet path and ordered by
 //! streaming window where that context exists. The EM line counts the
 //! `em-restart` trajectories and their E-steps inside the
-//! identification's `identify` span, and flags a warm start that fell
-//! back to the cold schedule: no `*.em.warm` span ran, or the warm
-//! trajectory tripped a guard.
+//! identification's `identify` span. The warm/cold start is the
+//! provenance's flag: warm only when the verdict's fit is the warm
+//! trajectory, so a seed that tripped a guard or was refused reads cold.
 //!
 //! With `--chrome <out.json>` it instead writes the run's Chrome trace
 //! (open with `chrome://tracing` or Perfetto): the causal span tree and
@@ -112,10 +112,6 @@ struct Effort {
     trajectories: usize,
     /// Their E-steps.
     e_steps: usize,
-    /// Did a warm trajectory (`*.em.warm` span) run?
-    warm_ran: bool,
-    /// Did the warm trajectory trip a guard (`em-guard` attempt 0)?
-    warm_tripped: bool,
 }
 
 /// Print the `verdict-provenance` timeline, restricted to fleet path
@@ -128,13 +124,11 @@ fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> Exit
     let mut effort = Effort::default();
     for (line, ev) in events {
         match ev {
-            Event::SpanOpen { name, .. } if name == "identify" => effort = Effort::default(),
-            Event::SpanOpen { name, .. } if name.ends_with(".em.warm") => effort.warm_ran = true,
+            Event::SpanOpen { name } if name == "identify" => effort = Effort::default(),
             Event::EmRestart { iterations, .. } => {
                 effort.trajectories += 1;
                 effort.e_steps += iterations;
             }
-            Event::EmGuard { attempt: 0, .. } => effort.warm_tripped = true,
             Event::VerdictProvenance { path, .. } if only_path.is_none_or(|p| *path == Some(p)) => {
                 by_path.entry(*path).or_default().push((*line, ev, effort));
                 records += 1;
@@ -215,15 +209,8 @@ fn render(path: &str, only_path: Option<u64>, events: &[(usize, Event)]) -> Exit
                 loss_rate * 100.0,
             );
             println!(
-                "  {:<28} EM: trajectories {}, E-steps {}{}",
-                "",
-                effort.trajectories,
-                effort.e_steps,
-                if *warm && (!effort.warm_ran || effort.warm_tripped) {
-                    "; the warm seed fell back to the cold schedule"
-                } else {
-                    ""
-                },
+                "  {:<28} EM: trajectories {}, E-steps {}",
+                "", effort.trajectories, effort.e_steps,
             );
         }
     }

@@ -106,6 +106,9 @@ fn main() {
             Ok(r) => (format!("{:?}", r.verdict), format!("{:.4}", r.loss_rate)),
             Err(e) => (format!("unusable: {e:?}"), "-".into()),
         };
+        // Is the verdict's fit the warm trajectory? An offered seed that
+        // tripped or was refused reads cold.
+        let warm = u.result.as_ref().map(|r| r.provenance.warm).ok();
         let transition = u.transition.map_or("-", |t| t.tag());
         if matches!(&u.result, Ok(r) if r.verdict != dcl_core::identify::Verdict::NoDominant) {
             dominant += 1;
@@ -121,7 +124,7 @@ fn main() {
             &[
                 format!("{}..{}", u.first_seq, u.last_seq),
                 u.window_len.to_string(),
-                if u.warm { "warm" } else { "cold" }.into(),
+                warm.map_or("-", |w| if w { "warm" } else { "cold" }).into(),
                 verdict,
                 transition.into(),
                 loss_rate,
@@ -132,7 +135,7 @@ fn main() {
             "first_seq": u.first_seq,
             "last_seq": u.last_seq,
             "window_len": u.window_len,
-            "warm": u.warm,
+            "warm": warm,
             "verdict": u.result.as_ref().map(|r| format!("{:?}", r.verdict)).ok(),
             "transition": u.transition.map(|t| t.tag()),
             "loss_rate": u.result.as_ref().map(|r| r.loss_rate).ok(),

@@ -18,14 +18,18 @@ use serde_json::Value;
 /// kind is in [`Event::KNOWN_KINDS`] must deserialise and
 /// round-trip through the schema; unknown kinds are tolerated and
 /// counted (forward compatibility: an old `obs_check` must not reject a
-/// newer producer). The artifact fails if it contains *zero known*
-/// events — whether because it is empty or because every line is an
-/// unknown kind — or fewer than `min_kinds` distinct known kinds.
+/// newer producer). Spans must nest: each `span-close` closes the
+/// innermost open span, of the same name, which is how the Chrome view
+/// reads the span tree off the stream. The artifact fails if it contains
+/// *zero known* events — whether because it is empty or because every
+/// line is an unknown kind — or fewer than `min_kinds` distinct known
+/// kinds.
 pub fn validate_obs(text: &str, min_kinds: usize) -> Result<String, String> {
     let mut events = 0usize;
     let mut unknown = 0usize;
     let mut kinds = BTreeSet::new();
     let mut unknown_kinds = BTreeSet::new();
+    let mut open_spans = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -49,6 +53,20 @@ pub fn validate_obs(text: &str, min_kinds: usize) -> Result<String, String> {
             .expect("round-trip");
         if back != ev {
             return Err(format!("line {}: event does not round-trip", i + 1));
+        }
+        match &ev {
+            Event::SpanOpen { name } => open_spans.push(name.clone()),
+            Event::SpanClose { name, .. } => match open_spans.pop() {
+                Some(open) if open == *name => {}
+                open => {
+                    return Err(format!(
+                        "line {}: span-close {name:?} does not close the innermost open span ({})",
+                        i + 1,
+                        open.map_or("none is open".to_owned(), |o| format!("{o:?}"))
+                    ))
+                }
+            },
+            _ => {}
         }
         kinds.insert(ev.kind());
         events += 1;
@@ -294,6 +312,28 @@ mod tests {
     }
 
     #[test]
+    fn a_crossed_or_stray_span_close_fails() {
+        let open = |name: &str| Event::SpanOpen { name: name.into() };
+        let close = |name: &str| Event::SpanClose {
+            name: name.into(),
+            wall_ns: 1,
+        };
+        let artifact = |events: &[Event]| events.iter().map(|e| line(e) + "\n").collect::<String>();
+        let nested = artifact(&[open("a"), open("b"), close("b"), close("a")]);
+        assert!(validate_obs(&nested, 1).is_ok());
+        let crossed = artifact(&[open("a"), open("b"), close("a"), close("b")]);
+        let err = validate_obs(&crossed, 1).unwrap_err();
+        assert!(err.starts_with("line 3: span-close \"a\""), "{err}");
+        assert!(err.contains("(\"b\")"), "{err}");
+        let stray = artifact(&[fault(), close("a")]);
+        let err = validate_obs(&stray, 1).unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("none is open"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_kinds_are_tolerated_alongside_known_events() {
         let text = format!("{}\n{{\"kind\":\"from-the-future\"}}\n", line(&fault()));
         let summary = validate_obs(&text, 1).unwrap();
@@ -335,12 +375,9 @@ mod tests {
         let events = vec![
             Event::SpanOpen {
                 name: "identify".into(),
-                id: 1,
-                parent: 0,
             },
             Event::SpanClose {
                 name: "identify".into(),
-                id: 1,
                 wall_ns: 10,
             },
         ];

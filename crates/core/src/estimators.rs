@@ -96,7 +96,8 @@ pub(crate) struct FitStats {
     pub guard_trips: usize,
     /// Final log-likelihood of the winning model.
     pub log_likelihood: f64,
-    /// Was the fit warm-started from previous-window parameters?
+    /// Is the fit the warm trajectory from previous-window parameters
+    /// ([`em::FitResult::warm`])?
     pub warm: bool,
     /// Was the fit clipped by an [`EmBudget`] (best-effort
     /// result rather than a fully converged one)?
@@ -104,13 +105,13 @@ pub(crate) struct FitStats {
 }
 
 impl FitStats {
-    fn from_fit<M>(fit: &em::FitResult<M>, warm: bool) -> FitStats {
+    fn from_fit<M>(fit: &em::FitResult<M>) -> FitStats {
         FitStats {
             iterations: fit.iterations,
             converged: fit.converged,
             guard_trips: fit.guard_trips,
             log_likelihood: fit.log_likelihood,
-            warm,
+            warm: fit.warm,
             degraded: fit.degraded,
         }
     }
@@ -139,7 +140,7 @@ pub(crate) fn estimate_fitted<M: EmModel>(
         None => em::try_fit(&obs, opts),
     }
     .map_err(EstimateError::Fit)?;
-    let stats = FitStats::from_fit(&fit, warm.is_some());
+    let stats = FitStats::from_fit(&fit);
     let pmf = check_pmf(fit.model.loss_delay_pmf(&obs))?;
     Ok((pmf, fit.model, stats))
 }

@@ -166,7 +166,10 @@ impl fmt::Display for Verdict {
 pub struct Provenance {
     /// Model family that produced the distribution ("hmm" or "mmhd").
     pub model: &'static str,
-    /// Was the fit warm-started from a previous window's parameters?
+    /// Is the verdict's fit the warm trajectory: did the previous
+    /// window's model, offered as a seed, survive its guarded attempt?
+    /// `false` for a cold fit, and for a seed that was refused or tripped
+    /// so that the cold schedule made the fit.
     pub warm: bool,
     /// Configured EM restarts for the (cold) fit schedule.
     pub restarts: usize,

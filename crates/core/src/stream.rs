@@ -116,7 +116,11 @@ pub struct StreamUpdate {
     pub last_seq: u64,
     /// Records in the window when it was evaluated.
     pub window_len: usize,
-    /// Was this window's fit warm-started from the previous window?
+    /// Was the previous window's model offered to this window's fit as a
+    /// warm seed? Whether the fit is the warm trajectory is the report's
+    /// [`Provenance::warm`](crate::identify::Provenance::warm): a seed
+    /// that is refused or trips a guard leaves the fit to the cold
+    /// schedule.
     pub warm: bool,
     /// Verdict transition relative to the previous usable window; `None`
     /// when this window was unusable (its `result` is an error).
@@ -396,6 +400,7 @@ impl StreamingIdentifier {
         self.state.evaluated_at = self.state.ingested;
         dcl_metrics::counter("stream.windows", 1);
         if used_warm {
+            // Windows offered a seed, whether or not it survived.
             dcl_metrics::counter("stream.windows.warm", 1);
         }
         let ctx = ProvCtx {

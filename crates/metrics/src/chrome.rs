@@ -4,7 +4,9 @@
 //!
 //! The artifact is one JSON object `{"traceEvents": [...]}`. Spans are
 //! complete events (`"ph": "X"`) with `name`, `ts`, `dur`, `pid`/`tid`
-//! pinned to 1, and `args: {id, parent, wall_ns}`; point-in-time records
+//! pinned to 1, and `args: {id, parent, wall_ns}`, where `id` is the
+//! span's 1-based position in the stream (`ts + 1`) and `parent` the
+//! enclosing span's `id`, 0 at a root; point-in-time records
 //! (`INSTANT_KINDS`: verdict provenance, verdict transitions, fault
 //! injections) are instant events
 //! (`"ph": "i"`, `"s": "t"`) whose `args` embed the full obs event. Any
@@ -22,7 +24,10 @@
 //! original wall-clock start times are gone by the time the stream is
 //! observable — and would differ run to run anyway. Instead `ts` is the
 //! event's position in the trace-relevant stream and a span's `dur` is
-//! the number of positions it brackets. That makes the timeline a
+//! the number of positions it brackets. Span events carry no ids: the
+//! stream is properly nested, so each close ends the innermost open span
+//! of its name, and a span's parent is the span open around its open.
+//! That makes the timeline a
 //! faithful rendering of the *causal* tree (children strictly inside
 //! parents, siblings in order), bitwise identical across runs and thread
 //! counts; the measured duration of each span is preserved in
@@ -51,36 +56,31 @@ const INSTANT_KINDS: &[&str] = &[
 /// artifact well-formed instead of failing the export.
 pub fn export_chrome_trace(events: &[Event]) -> String {
     let mut rows: Vec<Value> = Vec::new();
-    // Innermost-last stack of open spans: (name, id, parent, open position).
-    let mut open: Vec<(String, u64, u64, u64)> = Vec::new();
+    // Innermost-last stack of open spans: (name, open position, parent id).
+    let mut open: Vec<(&str, u64, u64)> = Vec::new();
     let mut pos = 0u64;
-    let complete = |rows: &mut Vec<Value>,
-                    name: String,
-                    id: u64,
-                    parent: u64,
-                    from: u64,
-                    to: u64,
-                    wall_ns: u64| {
-        rows.push(json!({
-            "name": name,
-            "ph": "X",
-            "ts": from,
-            "dur": to.saturating_sub(from).max(1),
-            "pid": 1u64,
-            "tid": 1u64,
-            "args": {"id": id, "parent": parent, "wall_ns": wall_ns},
-        }));
-    };
+    let complete =
+        |rows: &mut Vec<Value>, (name, from, parent): (&str, u64, u64), to: u64, wall_ns: u64| {
+            rows.push(json!({
+                "name": name,
+                "ph": "X",
+                "ts": from,
+                "dur": to.saturating_sub(from).max(1),
+                "pid": 1u64,
+                "tid": 1u64,
+                "args": {"id": from + 1, "parent": parent, "wall_ns": wall_ns},
+            }));
+        };
     for ev in events {
         match ev {
-            Event::SpanOpen { name, id, parent } => {
-                open.push((name.clone(), *id, *parent, pos));
+            Event::SpanOpen { name } => {
+                let parent = open.last().map_or(0, |&(_, from, _)| from + 1);
+                open.push((name, pos, parent));
                 pos += 1;
             }
-            Event::SpanClose { id, wall_ns, .. } => {
-                if let Some(i) = open.iter().rposition(|(_, sid, _, _)| sid == id) {
-                    let (name, sid, parent, from) = open.remove(i);
-                    complete(&mut rows, name, sid, parent, from, pos, *wall_ns);
+            Event::SpanClose { name, wall_ns } => {
+                if let Some(i) = open.iter().rposition(|(open_name, _, _)| open_name == name) {
+                    complete(&mut rows, open.remove(i), pos, *wall_ns);
                 }
                 pos += 1;
             }
@@ -99,8 +99,8 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
             _ => {}
         }
     }
-    while let Some((name, sid, parent, from)) = open.pop() {
-        complete(&mut rows, name, sid, parent, from, pos, 0);
+    while let Some(span) = open.pop() {
+        complete(&mut rows, span, pos, 0);
         pos += 1;
     }
     json!({ "traceEvents": rows }).to_string()
@@ -240,27 +240,22 @@ mod tests {
     use super::*;
     use crate::obs::{parse_jsonl, JsonlSink, Recorder};
 
-    fn open(name: &str, id: u64, parent: u64) -> Event {
-        Event::SpanOpen {
-            name: name.into(),
-            id,
-            parent,
-        }
+    fn open(name: &str) -> Event {
+        Event::SpanOpen { name: name.into() }
     }
 
-    fn close(name: &str, id: u64, wall_ns: u64) -> Event {
+    fn close(name: &str, wall_ns: u64) -> Event {
         Event::SpanClose {
             name: name.into(),
-            id,
             wall_ns,
         }
     }
 
     fn nested_stream() -> Vec<Event> {
         vec![
-            open("identify", 10, 0),
-            open("em", 20, 10),
-            close("em", 20, 500),
+            open("identify"),
+            open("em"),
+            close("em", 500),
             Event::VerdictTransition {
                 transition: "dcl-appeared".into(),
                 path: None,
@@ -271,7 +266,7 @@ mod tests {
                 num_probes: 100,
                 loss_rate: 0.01,
             },
-            close("identify", 10, 900),
+            close("identify", 900),
         ]
     }
 
@@ -285,6 +280,51 @@ mod tests {
         assert_eq!(stats.max_depth, 2);
     }
 
+    /// The `(name, ts, id, parent, wall_ns)` of each span row of `text`.
+    fn span_rows(text: &str) -> Vec<(String, u64, u64, u64, u64)> {
+        let v: Value = serde_json::from_str(text).unwrap();
+        let rows = v.get("traceEvents").and_then(Value::as_array).unwrap();
+        rows.iter()
+            .filter(|r| r.get("ph").and_then(Value::as_str) == Some("X"))
+            .map(|r| {
+                let num = |v: Option<&Value>| v.and_then(Value::as_u64).unwrap();
+                let arg = |k| num(r.get("args").and_then(|a| a.get(k)));
+                let name = r.get("name").and_then(Value::as_str).unwrap();
+                let ts = num(r.get("ts"));
+                (
+                    name.to_owned(),
+                    ts,
+                    arg("id"),
+                    arg("parent"),
+                    arg("wall_ns"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn span_ids_are_stream_positions_and_parents_enclose() {
+        // Rows come out in close order: `em` first.
+        assert_eq!(
+            span_rows(&export_chrome_trace(&nested_stream())),
+            [
+                ("em".to_owned(), 1, 2, 1, 500),
+                ("identify".to_owned(), 0, 1, 0, 900)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_close_ends_the_innermost_open_span_of_its_name() {
+        // Two `a`s nest; the first close ends the inner one.
+        let text = export_chrome_trace(&[open("a"), open("a"), close("a", 7), close("a", 9)]);
+        assert_eq!(
+            span_rows(&text),
+            [("a".to_owned(), 1, 2, 1, 7), ("a".to_owned(), 0, 1, 0, 9)]
+        );
+        assert_eq!(validate_chrome_trace(&text).unwrap().max_depth, 2);
+    }
+
     #[test]
     fn export_is_deterministic() {
         assert_eq!(
@@ -295,7 +335,7 @@ mod tests {
 
     #[test]
     fn unmatched_open_is_closed_at_stream_end() {
-        let text = export_chrome_trace(&[open("aborted", 7, 0), open("inner", 8, 7)]);
+        let text = export_chrome_trace(&[open("aborted"), open("inner")]);
         let stats = validate_chrome_trace(&text).unwrap();
         assert_eq!(stats.spans, 2);
         assert_eq!(stats.max_depth, 2);
@@ -303,7 +343,7 @@ mod tests {
 
     #[test]
     fn stray_close_is_dropped() {
-        let text = export_chrome_trace(&[open("a", 1, 0), close("ghost", 99, 5), close("a", 1, 5)]);
+        let text = export_chrome_trace(&[open("a"), close("ghost", 5), close("a", 5)]);
         assert_eq!(validate_chrome_trace(&text).unwrap().spans, 1);
     }
 
@@ -317,13 +357,13 @@ mod tests {
         )
         .is_err());
         // Duplicate ids.
-        let dup = export_chrome_trace(&[
-            open("a", 5, 0),
-            close("a", 5, 1),
-            open("b", 5, 0),
-            close("b", 5, 1),
-        ]);
-        assert!(validate_chrome_trace(&dup).is_err());
+        assert!(validate_chrome_trace(concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"a","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"id":5,"parent":0,"wall_ns":0}},"#,
+            r#"{"name":"b","ph":"X","ts":1,"dur":1,"pid":1,"tid":1,"args":{"id":5,"parent":0,"wall_ns":0}}"#,
+            r#"]}"#
+        ))
+        .is_err());
         // Unknown parent.
         assert!(validate_chrome_trace(
             r#"{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"id":3,"parent":99,"wall_ns":0}}]}"#

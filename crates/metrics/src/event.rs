@@ -11,9 +11,10 @@
 //! durations — is bitwise identical at every worker-thread count. The
 //! only nondeterministic fields are the `wall_ns` of [`Event::SpanClose`]
 //! (host timing can never be deterministic); [`Event::canonical`] zeroes
-//! them so streams can be compared exactly. Span ids are derived from
-//! index-ordered counters (DESIGN.md §13), never thread ids, so the
-//! `span-open`/`span-close` tree is part of the deterministic stream.
+//! them so streams can be compared exactly. Spans carry no ids: their
+//! opens and closes are properly nested (DESIGN.md §13), so the order of
+//! the `span-open`/`span-close` events is the span tree, and it is part
+//! of the deterministic stream.
 
 use serde::{Deserialize, Serialize};
 
@@ -171,26 +172,19 @@ pub enum Event {
         last_seq: Option<u64>,
     },
 
-    /// A scoped span opened: a node of the causal trace tree. `id` is a
-    /// stable, deterministic identifier derived from index-ordered
-    /// counters (never thread ids); `parent` is the id of the innermost
-    /// enclosing span, or `0` at the root. Kind tag: `span-open`.
+    /// A scoped span opened: a node of the causal trace tree, nested in
+    /// the innermost span still open before it (a root if none is). Kind
+    /// tag: `span-open`.
     SpanOpen {
         /// Region name ("identify", "hmm.em.restart", ...).
         name: String,
-        /// Deterministic span id (nonzero).
-        id: u64,
-        /// Id of the enclosing span; `0` for a root span.
-        parent: u64,
     },
 
-    /// The matching span closed, carrying its wall-clock duration. Kind
-    /// tag: `span-close`.
+    /// The innermost open span closed, carrying its wall-clock duration.
+    /// Kind tag: `span-close`.
     SpanClose {
         /// Region name (repeated so each line is self-contained).
         name: String,
-        /// The id from the matching [`Event::SpanOpen`].
-        id: u64,
         /// Elapsed wall-clock nanoseconds. The one nondeterministic
         /// field of the schema; zeroed by [`Event::canonical`].
         wall_ns: u64,
@@ -232,9 +226,8 @@ impl Event {
     /// regardless of thread count or host speed.
     pub fn canonical(&self) -> Event {
         match self {
-            Event::SpanClose { name, id, .. } => Event::SpanClose {
+            Event::SpanClose { name, .. } => Event::SpanClose {
                 name: name.clone(),
-                id: *id,
                 wall_ns: 0,
             },
             other => other.clone(),
@@ -366,12 +359,9 @@ mod tests {
             },
             Event::SpanOpen {
                 name: "identify".into(),
-                id: 0x9E3779B97F4A7C15,
-                parent: 0,
             },
             Event::SpanClose {
                 name: "identify".into(),
-                id: 0x9E3779B97F4A7C15,
                 wall_ns: 123_456_789,
             },
         ]
@@ -386,8 +376,8 @@ mod tests {
 {"kind":"verdict-transition","transition":"dcl-moved","path":2,"window":7,"verdict":"strongly-dominant","prev_verdict":"weakly-dominant","mode":4,"num_probes":3000,"loss_rate":0.03125}
 {"kind":"verdict-provenance","verdict":"strongly-dominant","model":"mmhd","warm":true,"restarts":6,"iterations":42,"converged":true,"guard_trips":1,"log_likelihood":-987.25,"degraded":false,"sdcl_accepted":true,"sdcl_margin":0.03125,"sdcl_d_star":4,"wdcl_accepted":true,"wdcl_margin":0.0625,"wdcl_d_star":4,"num_probes":1500,"loss_rate":0.015625,"bin_width_us":32000,"path":17,"window":3,"first_seq":4500,"last_seq":5999}
 {"kind":"verdict-provenance","verdict":"no-dominant","model":"hmm","warm":false,"restarts":2,"iterations":200,"converged":false,"guard_trips":0,"log_likelihood":-12.5,"degraded":true,"sdcl_accepted":false,"sdcl_margin":-0.25,"sdcl_d_star":null,"wdcl_accepted":false,"wdcl_margin":-0.125,"wdcl_d_star":2,"num_probes":800,"loss_rate":0.00390625,"bin_width_us":4000,"path":null,"window":null,"first_seq":null,"last_seq":null}
-{"kind":"span-open","name":"identify","id":11400714819323198485,"parent":0}
-{"kind":"span-close","name":"identify","id":11400714819323198485,"wall_ns":123456789}"#;
+{"kind":"span-open","name":"identify"}
+{"kind":"span-close","name":"identify","wall_ns":123456789}"#;
 
     #[test]
     fn samples_serialise_to_the_pinned_wire_bytes() {
@@ -432,9 +422,7 @@ mod tests {
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(serde_json::from_str::<Event>(r#"{"kind":"nope"}"#).is_err());
-        assert!(
-            serde_json::from_str::<Event>(r#"{"kind":"span-open","name":"x","id":1}"#).is_err()
-        );
+        assert!(serde_json::from_str::<Event>(r#"{"kind":"span-close","name":"x"}"#).is_err());
         // Nullable fields are required keys too: `null` is explicit.
         let provenance = SAMPLES_JSONL
             .lines()
@@ -452,10 +440,9 @@ mod tests {
         for ev in samples() {
             let canon = ev.canonical();
             match canon {
-                Event::SpanClose { wall_ns, id, .. } => {
+                Event::SpanClose { wall_ns, ref name } => {
                     assert_eq!(wall_ns, 0);
-                    // The deterministic id survives canonicalisation.
-                    assert!(matches!(ev, Event::SpanClose { id: i, .. } if i == id));
+                    assert!(matches!(&ev, Event::SpanClose { name: n, .. } if n == name));
                 }
                 other => assert_eq!(other, ev),
             }
@@ -469,19 +456,5 @@ mod tests {
         let known: BTreeSet<&str> = Event::KNOWN_KINDS.iter().copied().collect();
         assert_eq!(sampled, known, "samples() must cover every KNOWN_KINDS tag");
         assert_eq!(Event::KNOWN_KINDS.len(), known.len(), "no duplicate tags");
-    }
-
-    #[test]
-    fn span_ids_round_trip_at_full_u64_width() {
-        // Span ids use all 64 bits; the artifact must carry them exactly
-        // (the vendored serde_json parses integers as u64, not f64).
-        let ev = Event::SpanOpen {
-            name: "x".into(),
-            id: u64::MAX,
-            parent: u64::MAX - 1,
-        };
-        let line = serde_json::to_string(&ev).unwrap();
-        let back: Event = serde_json::from_str(&line).unwrap();
-        assert_eq!(ev, back);
     }
 }

@@ -5,10 +5,10 @@
 //! registry switch ([`crate::set_enabled`]) and, above them, a count of
 //! the captures open on any thread. Each thread keeps one stack of
 //! capture frames; a frame names the facilities it records for
-//! ([`Live`]) and holds what was recorded into it: its events, its
-//! metric folds and the span-context depth to restore when it closes. A
-//! thread records for a facility if its innermost frame does, or, with no
-//! frame open on it, if that facility's global switch is on. So a capture
+//! ([`Live`]) and holds what was recorded into it: its events and its
+//! metric folds. A thread records for a facility if its innermost frame
+//! does, or, with no frame open on it, if that facility's global switch
+//! is on. So a capture
 //! records whatever the switches say, and a thread with no frame records
 //! exactly what the switches say, whatever captures other threads hold.
 //!
@@ -24,7 +24,7 @@
 //! and a frame is only ever read by its own thread.
 
 use crate::obs::Event;
-use crate::{span, Shard};
+use crate::Shard;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -80,8 +80,6 @@ pub(crate) struct Frame {
     live: Live,
     pub(crate) events: Vec<Event>,
     pub(crate) shard: Shard,
-    /// The span-context depth to truncate back to on close.
-    ctx_depth: usize,
 }
 
 /// What this thread records for, given the gate `word`: its innermost
@@ -113,9 +111,7 @@ pub(crate) fn any_on() -> bool {
     word != 0 && !live_in(word).is_none()
 }
 
-/// The facilities this thread records for. A fork-join region reads it
-/// on the forking thread and opens each item's capture with it, so its
-/// workers record what the forking thread would.
+/// The facilities this thread records for.
 pub(crate) fn live() -> Live {
     live_in(GATE.load(Ordering::Relaxed))
 }
@@ -157,22 +153,19 @@ pub(crate) fn innermost<R>(f: impl FnOnce(&Frame) -> R) -> Option<R> {
 }
 
 /// One open capture frame on this thread. Dropping it — normally or
-/// while a panic unwinds — pops the frame, truncates the span-context
-/// stack to where the frame found it and lowers the gate's capture
+/// while a panic unwinds — pops the frame and lowers the gate's capture
 /// count, so a panicking capture leaves no recording switched on behind
 /// it.
 pub(crate) struct Capture(());
 
 impl Capture {
-    /// Push a frame that records for `live`, with a fresh root span
-    /// context, and count it in the gate.
+    /// Push a frame that records for `live` and count it in the gate.
     pub(crate) fn open(live: Live) -> Capture {
         debug_assert!(!live.is_none(), "a capture must record something");
         let frame = Frame {
             live,
             events: Vec::new(),
             shard: Shard::default(),
-            ctx_depth: span::push_root(),
         };
         FRAMES.with(|frames| frames.borrow_mut().push(frame));
         GATE.fetch_add(ONE_CAPTURE, Ordering::Relaxed);
@@ -195,8 +188,7 @@ impl Capture {
 
 impl Drop for Capture {
     fn drop(&mut self) {
-        let frame = FRAMES.with(|frames| frames.borrow_mut().pop().expect("own frame"));
-        span::truncate(frame.ctx_depth);
+        FRAMES.with(|frames| frames.borrow_mut().pop().expect("own frame"));
         GATE.fetch_sub(ONE_CAPTURE, Ordering::Relaxed);
     }
 }

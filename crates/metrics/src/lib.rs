@@ -13,9 +13,10 @@
 //! recorder (the JSONL artifact) plus an end-of-run count per kind. A
 //! Chrome trace is a view of that stream, rendered from it after the run
 //! ([`obs::export_chrome_trace`]). [`span`] feeds both halves: an
-//! open/close event pair with deterministic ids, and a wall-clock profile
-//! in the registry. Each fact is recorded once: aggregates live in the
-//! registry, the ordered record in the stream.
+//! open/close event pair, whose place in the stream is its place in the
+//! span tree, and a wall-clock profile in the registry. Each fact is
+//! recorded once: aggregates live in the registry, the ordered record in
+//! the stream.
 //!
 //! # Zero overhead when disabled
 //!
@@ -41,16 +42,19 @@
 //! record goes to the innermost frame on its thread, else to the global
 //! sink or registry whose switch is on, else nowhere, and is then never
 //! built. The frame is an RAII scope: a panic inside it still pops the
-//! frame, restores the span-context stack and lowers the count.
+//! frame and lowers the count.
 //!
 //! # Deterministic parallel merge
 //!
 //! Parallel regions (`dcl-parallel`) must not let the schedule leak into
-//! the stream or the registry. A worker runs each work item under
-//! [`capture_item`], which records what the forking thread records; the
-//! fork-join scope then hands each [`Captured`] to [`replay`] **in
-//! item-index order** after the join. Counter and histogram folds are
-//! commutative and gauge writes resolve by index order, so the stream and
+//! the stream or the registry. The forking thread reads what it records
+//! once ([`Recording::current`]); a worker runs each work item under
+//! [`Recording::capture`], which records the same, and the fork-join
+//! scope then hands each [`Captured`] to [`replay`] **in item-index
+//! order** after the join. Each item's spans close inside its capture, so
+//! the replayed stream nests as a serial run's does. Counter and
+//! histogram folds are commutative and gauge writes resolve by index
+//! order, so the stream and
 //! a [`snapshot()`] are identical to a serial run at any thread count
 //! (wall-clock span timings excepted — compare with
 //! [`obs::Event::canonical`] and [`Snapshot::canonical`]). A capture
@@ -71,7 +75,7 @@ mod span;
 
 pub use hist::{log2_bucket, Log2Hist, NUM_BUCKETS};
 pub use snapshot::{Snapshot, SpanProfile, SCHEMA_VERSION};
-pub use span::{fork_ctx, span, with_item_ctx, ForkCtx, Span};
+pub use span::{span, Span};
 
 use gate::{Capture, Live, Switch};
 use obs::Event;
@@ -303,13 +307,31 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
     capture_live(Live::ALL, f)
 }
 
-/// Run work item `index` of a fork-join region under [`with_item_ctx`]
-/// and a capture that records what the forking thread records: events
-/// only if it records events, folds only if it records folds. The
-/// parallel layer calls this once per item on its workers and hands the
-/// results to [`replay`] in index order.
-pub fn capture_item<R>(fork: &ForkCtx, index: usize, f: impl FnOnce() -> R) -> (R, Captured) {
-    capture_live(fork.live, || with_item_ctx(fork, index, f))
+/// What a thread records: events, folds, both or neither. A fork-join
+/// region reads it once on its calling thread and opens each item's
+/// capture on the workers with it, so they record what that thread would.
+#[derive(Debug, Clone, Copy)]
+pub struct Recording(Live);
+
+impl Recording {
+    /// What this thread records now.
+    pub fn current() -> Recording {
+        Recording(gate::live())
+    }
+
+    /// Does it record anything? If not, work forked from the thread needs
+    /// no capture.
+    pub fn records(self) -> bool {
+        !self.0.is_none()
+    }
+
+    /// Run `f` under a capture that records what this token does: events
+    /// only if it records events, folds only if it records folds. The
+    /// parallel layer calls this once per item on its workers and hands
+    /// the results to [`replay`] in index order.
+    pub fn capture<R>(self, f: impl FnOnce() -> R) -> (R, Captured) {
+        capture_live(self.0, f)
+    }
 }
 
 fn capture_live<R>(live: Live, f: impl FnOnce() -> R) -> (R, Captured) {
@@ -512,21 +534,22 @@ mod tests {
             });
             assert!(unwound.is_err());
             // The panicked frames are gone: these land in this capture,
-            // and the next span is still a child of `outer`.
+            // and the next span nests inside `outer`.
             record(mark("kept", 1));
             crate::counter("kept", 1);
             let _next = span("next");
         });
         assert_eq!(cap.metrics.counter("kept"), 1);
         assert_eq!(cap.metrics.counter("lost"), 0);
-        let rows = span_rows(&cap.events);
-        assert_eq!(rows[0].1, "outer");
-        assert!(rows.iter().all(|r| r.1 != "inner"));
-        let next = rows
-            .iter()
-            .find(|r| r.0 == "open" && r.1 == "next")
-            .unwrap();
-        assert_eq!(next.3, rows[0].2, "next is parented on outer");
+        assert_eq!(
+            span_rows(&cap.events),
+            [
+                ("open", "outer"),
+                ("open", "next"),
+                ("close", "next"),
+                ("close", "outer")
+            ]
+        );
         assert!(cap.events.contains(&mark("kept", 1)));
         assert!(!cap.events.contains(&mark("lost", 1)));
     }
@@ -536,116 +559,23 @@ mod tests {
         let ((), cap) = capture(|| {
             let _s = span("live");
         });
-        let events = cap.events;
-        assert_eq!(events.len(), 2, "one open + one close");
-        match (&events[0], &events[1]) {
-            (
-                Event::SpanOpen {
-                    name: n0,
-                    id: i0,
-                    parent,
-                },
-                Event::SpanClose {
-                    name: n1, id: i1, ..
-                },
-            ) => {
-                assert_eq!(n0, "live");
-                assert_eq!(n1, "live");
-                assert_eq!(i0, i1, "close carries the open's id");
-                assert_ne!(*i0, 0, "span ids are nonzero");
-                assert_eq!(*parent, 0, "top-level span has no parent");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            span_rows(&cap.events),
+            [("open", "live"), ("close", "live")]
+        );
+        assert_eq!(cap.events.len(), 2, "one open + one close");
         assert_eq!(cap.metrics.snapshot().spans["live"].count, 1);
     }
 
-    /// Extract `(kind, name, id, parent)` rows for span events.
-    fn span_rows(events: &[Event]) -> Vec<(&'static str, String, u64, u64)> {
+    /// The `(kind, name)` rows of the span events in `events`, in order.
+    fn span_rows(events: &[Event]) -> Vec<(&'static str, &str)> {
         events
             .iter()
             .filter_map(|e| match e {
-                Event::SpanOpen { name, id, parent } => Some(("open", name.clone(), *id, *parent)),
-                Event::SpanClose { name, id, .. } => Some(("close", name.clone(), *id, 0)),
+                Event::SpanOpen { name } => Some(("open", name.as_str())),
+                Event::SpanClose { name, .. } => Some(("close", name.as_str())),
                 _ => None,
             })
             .collect()
-    }
-
-    #[test]
-    fn spans_nest_and_ids_are_stable_across_captures() {
-        let run = || {
-            let _outer = span("outer");
-            {
-                let _inner = span("inner");
-            }
-            {
-                let _inner2 = span("inner");
-            }
-        };
-        let events_a = capture(run).1.events;
-        let events_b = capture(run).1.events;
-        let rows_a = span_rows(&events_a);
-        assert_eq!(
-            rows_a,
-            span_rows(&events_b),
-            "same computation, same capture-rooted ids"
-        );
-        // outer-open, inner-open, inner-close, inner2-open, inner2-close,
-        // outer-close — with inner spans parented on outer.
-        assert_eq!(rows_a.len(), 6);
-        let (outer_id, inner_id, inner2_id) = (rows_a[0].2, rows_a[1].2, rows_a[3].2);
-        assert_eq!(rows_a[0], ("open", "outer".into(), outer_id, 0));
-        assert_eq!(rows_a[1].3, outer_id, "inner parented on outer");
-        assert_eq!(rows_a[3].3, outer_id, "sibling parented on outer");
-        assert_ne!(inner_id, inner2_id, "siblings get distinct ids");
-        assert_eq!(rows_a[5], ("close", "outer".into(), outer_id, 0));
-    }
-
-    #[test]
-    fn fork_ctx_gives_items_the_same_ids_serial_and_replayed() {
-        // Serial execution: items run inline under their item contexts.
-        let ((), serial) = capture(|| {
-            let _root = span("root");
-            let fork = fork_ctx();
-            for i in 0..3 {
-                with_item_ctx(&fork, i, || {
-                    let _s = span("item");
-                });
-            }
-        });
-        // Simulated parallel execution: items run under capture (as on a
-        // worker thread with an empty context stack), replayed in order.
-        let ((), replayed) = capture(|| {
-            let _root = span("root");
-            let fork = fork_ctx();
-            let items: Vec<_> = (0..3)
-                .map(|i| {
-                    capture(|| {
-                        with_item_ctx(&fork, i, || {
-                            let _s = span("item");
-                        })
-                    })
-                    .1
-                })
-                .collect();
-            items.into_iter().for_each(replay);
-        });
-        let rows = span_rows(&serial.events);
-        assert_eq!(
-            rows,
-            span_rows(&replayed.events),
-            "item span ids must not depend on the executing thread's stack"
-        );
-        // Item spans are parented on the span enclosing the fork.
-        let root_id = rows[0].2;
-        let opens: Vec<_> = rows
-            .iter()
-            .filter(|r| r.0 == "open" && r.1 == "item")
-            .collect();
-        assert_eq!(opens.len(), 3);
-        assert!(opens.iter().all(|r| r.3 == root_id));
-        let ids: std::collections::BTreeSet<u64> = opens.iter().map(|r| r.2).collect();
-        assert_eq!(ids.len(), 3, "items get distinct ids");
     }
 }

@@ -25,7 +25,6 @@ pub use crate::recorder::{parse_jsonl, JsonlSink, Recorder, Summary};
 
 use crate::gate::{self, Switch};
 use crate::recorder::NoopRecorder;
-use crate::span;
 use std::sync::Mutex;
 
 struct State {
@@ -46,9 +45,7 @@ pub fn is_enabled() -> bool {
 
 /// Install a recorder and turn events on. A recorder installed before is
 /// finished and dropped; its finish result is returned (`Ok` if there
-/// was none). The installing thread's span-id context is reset to a
-/// fresh root, so repeated install/finish cycles in one process allocate
-/// identical span ids; worker threads get theirs from their captures.
+/// was none).
 pub fn install(sink: Box<dyn Recorder>) -> std::io::Result<()> {
     let mut state = STATE.lock().unwrap();
     let replaced = match state.take() {
@@ -59,7 +56,6 @@ pub fn install(sink: Box<dyn Recorder>) -> std::io::Result<()> {
         sink,
         summary: Summary::default(),
     });
-    span::reset_root();
     gate::set(Switch::Events, true);
     replaced
 }

@@ -150,7 +150,6 @@ mod tests {
     fn span(name: &str, ns: u64) -> Event {
         Event::SpanClose {
             name: name.into(),
-            id: 1 + ns,
             wall_ns: ns,
         }
     }

@@ -1,225 +1,56 @@
-//! Deterministic span trees.
+//! Scoped spans.
 //!
-//! [`span`] opens a scoped span: a `span-open` event carrying a stable id
-//! and the id of the innermost enclosing span, and a matching
-//! `span-close` on drop. Ids are derived from a thread-local stack of
-//! `(prefix, seq)` counters mixed through SplitMix64 — never from thread
-//! ids or addresses — so the whole tree is bitwise identical at any
-//! worker-thread count. Fork-join layers thread the context across
-//! workers with [`fork_ctx`]/[`with_item_ctx`]: the fork allocates one
-//! deterministic namespace per parallel region on the *calling* thread,
-//! and every item (serial or parallel) runs under a per-index sub-context
-//! derived from it. Each capture frame opens a fresh root context, so
-//! repeated captured runs in one process yield identical id streams.
+//! [`span`] opens a scoped span: a `span-open` event on entry and the
+//! matching `span-close` on drop. Spans close by RAII, and a fork-join
+//! region replays its items' events in index order, so the stream is
+//! properly nested at every worker-thread count: the order of the opens
+//! and closes is the causal tree, and no event names another. The span
+//! enclosing an open is the innermost one still open before it.
 
-use crate::gate::{self, Live, Switch};
+use crate::gate;
 use crate::obs::{self, Event};
-use std::cell::RefCell;
 use std::time::Instant;
 
-thread_local! {
-    /// Span-context stack for deterministic span-tree ids. The top entry
-    /// names the innermost open span (`parent`), the id namespace its
-    /// children draw from (`prefix`), and how many children have been
-    /// allocated so far (`seq`).
-    static CTX: RefCell<Vec<SpanCtx>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One level of the span-id context stack.
-#[derive(Clone, Copy)]
-struct SpanCtx {
-    /// Id of the innermost open span; `0` at the root.
-    parent: u64,
-    /// Namespace child ids are mixed from.
-    prefix: u64,
-    /// Children allocated under this context so far.
-    seq: u64,
-}
-
-impl SpanCtx {
-    const ROOT: SpanCtx = SpanCtx {
-        parent: 0,
-        prefix: 0,
-        seq: 0,
-    };
-}
-
-/// SplitMix64-style combiner: deterministic, well-mixed 64-bit ids from
-/// `(prefix, seq)` pairs.
-fn mix2(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Push a fresh root context and return the depth it sits at, which
-/// [`truncate`] restores. A capture frame opens with one.
-pub(crate) fn push_root() -> usize {
-    CTX.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        ctx.push(SpanCtx::ROOT);
-        ctx.len() - 1
-    })
-}
-
-/// Drop every context from `depth` up. Truncating rather than popping
-/// also drops item contexts a panic unwound past.
-pub(crate) fn truncate(depth: usize) {
-    CTX.with(|ctx| ctx.borrow_mut().truncate(depth));
-}
-
-/// Reset this thread's stack to one root context, so repeated
-/// install/finish cycles allocate identical span ids.
-pub(crate) fn reset_root() {
-    truncate(0);
-    push_root();
-}
-
-/// Bump the child count of the thread's current context and return it
-/// with the context, pushing a root first if the stack is empty.
-fn next_child() -> SpanCtx {
-    CTX.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        if ctx.is_empty() {
-            ctx.push(SpanCtx::ROOT);
-        }
-        let top = ctx.last_mut().expect("root just ensured");
-        top.seq += 1;
-        *top
-    })
-}
-
-/// A deterministic namespace for one fork-join region, allocated on the
-/// calling thread by [`fork_ctx`] and consumed per item by
-/// [`with_item_ctx`].
-#[derive(Clone, Copy)]
-pub struct ForkCtx {
-    active: bool,
-    parent: u64,
-    base: u64,
-    /// What the forking thread records for; its items' captures record
-    /// the same.
-    pub(crate) live: Live,
-}
-
-impl ForkCtx {
-    /// Does the forking thread record anything? If not, its items need
-    /// no capture.
-    pub fn records(&self) -> bool {
-        !self.live.is_none()
-    }
-}
-
-/// Allocate a span-id namespace for a parallel region. Must be called on
-/// the thread that owns the enclosing context (the one issuing the
-/// fork-join), *before* dispatching items, at every thread count — the
-/// namespace depends only on the enclosing context and how many children
-/// it has allocated, so serial and parallel executions agree. Costless
-/// when this thread records no events.
-pub fn fork_ctx() -> ForkCtx {
-    let live = gate::live();
-    if !live.has(Switch::Events) {
-        return ForkCtx {
-            active: false,
-            parent: 0,
-            base: 0,
-            live,
-        };
-    }
-    let top = next_child();
-    ForkCtx {
-        active: true,
-        parent: top.parent,
-        base: mix2(top.prefix, top.seq),
-        live,
-    }
-}
-
-/// Run work item `index` of a fork-join region under its deterministic
-/// sub-context: spans opened inside `f` get ids derived from
-/// `(fork, index)` and parents pointing at the span enclosing the fork,
-/// regardless of which thread executes the item.
-pub fn with_item_ctx<R>(fork: &ForkCtx, index: usize, f: impl FnOnce() -> R) -> R {
-    if !fork.active {
-        return f();
-    }
-    CTX.with(|ctx| {
-        ctx.borrow_mut().push(SpanCtx {
-            parent: fork.parent,
-            prefix: mix2(fork.base, index as u64),
-            seq: 0,
-        })
-    });
-    let out = f();
-    CTX.with(|ctx| {
-        ctx.borrow_mut().pop();
-    });
-    out
-}
-
 /// RAII scoped span. When events are recorded it records an
-/// [`Event::SpanOpen`] with a deterministic id and parent on entry and
-/// the matching [`Event::SpanClose`] (with wall-clock duration) on drop,
-/// nesting via the thread's span-context stack. It feeds the registry's
-/// span profile whenever *either* facility might record — so
-/// `DCL_METRICS=1` alone still yields per-phase wall-time profiles,
-/// without any events. When the gate is off the constructor takes no
-/// timestamp and the drop is a branch on `None`.
+/// [`Event::SpanOpen`] on entry and the matching [`Event::SpanClose`]
+/// (with wall-clock duration) on drop. It feeds the registry's span
+/// profile whenever *either* facility might record — so `DCL_METRICS=1`
+/// alone still yields per-phase wall-time profiles, without any events.
+/// When the gate is off the constructor takes no timestamp and the drop
+/// is a branch on `None`.
 pub struct Span {
     start: Option<(&'static str, Instant)>,
-    /// The span's id when an open event was recorded (events on at
-    /// construction); the drop pops the context and emits the close.
-    id: Option<u64>,
+    /// Was an open event recorded (events on at construction)? The drop
+    /// then records the close.
+    opened: bool,
 }
 
 /// Start a named scoped span.
 #[inline(always)]
 pub fn span(name: &'static str) -> Span {
     let start = gate::any_on().then(|| (name, Instant::now()));
-    let id = obs::is_enabled().then(|| open_span(name));
-    Span { start, id }
+    let opened = obs::is_enabled();
+    if opened {
+        open_span(name);
+    }
+    Span { start, opened }
 }
 
-/// Allocate the next child id under the thread's current context, push a
-/// sub-context for the new span and record its open event.
 #[cold]
-fn open_span(name: &'static str) -> u64 {
-    let top = next_child();
-    // `0` is reserved for "no parent"; the mixer hitting it is a ~2^-64
-    // event, remapped deterministically.
-    let id = mix2(top.prefix, top.seq).max(1);
-    CTX.with(|ctx| {
-        ctx.borrow_mut().push(SpanCtx {
-            parent: id,
-            prefix: id,
-            seq: 0,
-        })
-    });
-    obs::record_with(|| Event::SpanOpen {
+fn open_span(name: &'static str) {
+    obs::record(Event::SpanOpen {
         name: name.to_string(),
-        id,
-        parent: top.parent,
     });
-    id
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.id.is_some() {
-            // Pop the sub-context first so the close event is a sibling
-            // of the span's children, not nested under itself.
-            CTX.with(|ctx| {
-                ctx.borrow_mut().pop();
-            });
-        }
         if let Some((name, start)) = self.start.take() {
             let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             crate::observe_duration_ns(name, wall_ns);
-            if let Some(id) = self.id.take() {
+            if self.opened {
                 obs::record_with(|| Event::SpanClose {
                     name: name.to_string(),
-                    id,
                     wall_ns,
                 });
             }

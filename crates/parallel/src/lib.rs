@@ -28,10 +28,12 @@
 //! in hermetic environments whose registries only carry what the seed
 //! already used. The only dependencies are the workspace's own telemetry
 //! crates, whose deterministic-merge contract this crate implements: when
-//! the calling thread records telemetry, each work item runs under
-//! `dcl_metrics::capture_item` and its events and metric folds are replayed
-//! **in index order** after the join, so the instrumented event stream
-//! and registry are identical to a serial run at any worker count.
+//! the calling thread records telemetry, each work item runs under a
+//! capture that records what that thread records
+//! (`dcl_metrics::Recording`), and its events and metric folds are
+//! replayed **in index order** after the join, so the instrumented event
+//! stream and registry are identical to a serial run at any worker count,
+//! span nesting included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,27 +82,16 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = effective_threads(parallelism).min(n);
-    // Span-id namespace for this fork-join region, allocated on the
-    // calling thread so item span ids depend only on the region's
-    // position in the caller's span tree and the item index — never on
-    // the worker count or schedule. It also carries what the calling
-    // thread records, so the workers record the same.
-    let fork = dcl_metrics::fork_ctx();
     if threads <= 1 {
-        // Serial path: items run in index order, so their events and
-        // metric folds already reach the sinks in index order — no
-        // capture machinery needed. Items still run under their span-id
-        // sub-contexts so ids match the parallel path bitwise.
-        return (0..n)
-            .map(|i| dcl_metrics::with_item_ctx(&fork, i, || f(i)))
-            .collect();
+        return (0..n).map(f).collect();
     }
-    if fork.records() {
+    let recording = dcl_metrics::Recording::current();
+    if recording.records() {
         // Deterministic merge: capture each item's events and metric folds
         // on its worker thread, then replay them in index order after the
         // join. The event stream and the registry end up identical to the
         // serial path's.
-        let items = par_map_core(threads, n, |i| dcl_metrics::capture_item(&fork, i, || f(i)));
+        let items = par_map_core(threads, n, |i| recording.capture(|| f(i)));
         return items
             .into_iter()
             .map(|(value, captured)| {
@@ -273,7 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_ids_are_identical_serial_and_parallel() {
+    fn span_stream_is_identical_and_nested_at_1_2_and_4_threads() {
+        use dcl_metrics::obs::Event;
         let run = |threads: usize| {
             let ((), captured) = dcl_metrics::capture(|| {
                 let _outer = dcl_metrics::span("region");
@@ -285,25 +277,22 @@ mod tests {
             captured
                 .events
                 .iter()
-                .filter_map(|e| match e {
-                    dcl_metrics::obs::Event::SpanOpen { name, id, parent } => {
-                        Some((name.clone(), *id, *parent))
-                    }
-                    _ => None,
+                .map(|e| match e {
+                    Event::SpanOpen { name } => ("open", name.clone()),
+                    Event::SpanClose { name, .. } => ("close", name.clone()),
+                    other => panic!("unexpected {other:?}"),
                 })
                 .collect::<Vec<_>>()
         };
-        let serial = run(1);
-        for threads in [2, 4] {
-            assert_eq!(serial, run(threads), "threads={threads}");
+        // Every item span opens and closes inside the region, one after
+        // another.
+        let item = [("open", "item".to_owned()), ("close", "item".to_owned())];
+        let mut nested = vec![("open", "region".to_owned())];
+        (0..8).for_each(|_| nested.extend(item.clone()));
+        nested.push(("close", "region".to_owned()));
+        for threads in [1, 2, 4] {
+            assert_eq!(run(threads), nested, "threads={threads}");
         }
-        // One open per item plus the region, all item spans parented on
-        // the region, all ids distinct.
-        assert_eq!(serial.len(), 9);
-        let region_id = serial[0].1;
-        assert!(serial[1..].iter().all(|(_, _, p)| *p == region_id));
-        let ids: std::collections::BTreeSet<u64> = serial.iter().map(|(_, id, _)| *id).collect();
-        assert_eq!(ids.len(), 9);
     }
 
     #[test]

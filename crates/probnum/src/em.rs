@@ -220,6 +220,10 @@ pub struct FitResult<M> {
     /// Numerical-guard trips across all restarts and retries (0 on a
     /// clean fit).
     pub guard_trips: usize,
+    /// Is this the warm trajectory: did [`fit_warm`]'s prepared seed
+    /// survive its guarded attempt? `false` for every cold fit, and for a
+    /// warm fit that fell back to the cold schedule.
+    pub warm: bool,
     /// Was the fit clipped by an exhausted [`EmBudget`]? A degraded fit
     /// is best-effort: the caller gets a usable model, but it stopped
     /// short of the configured schedule. Always `false` without a
@@ -299,9 +303,11 @@ pub fn try_fit<M: EmModel>(
 /// is impossible. The transitions keep their zeros: a window that takes
 /// a transition the seed rules out has likelihood 0 under it, so it left
 /// the seed's regime and is fitted by [`try_fit`] without a guard trip,
-/// as is an `init` of the wrong dimensions. A seed that trips a guard
-/// leaves the restarts what it left of any budget, and its trip counts
-/// in [`FitResult::guard_trips`]. The result is a pure function of
+/// as is an `init` of the wrong dimensions. A seed that survives is the
+/// fit, flagged [`FitResult::warm`]. A seed that trips a guard leaves the
+/// restarts what it left of any budget, and its trip counts in
+/// [`FitResult::guard_trips`], or in the error if no restart survives
+/// either. The result is a pure function of
 /// `(obs, opts, init)`: the seed draws no random numbers.
 pub fn fit_warm<M: EmModel>(
     obs: &[Obs],
@@ -377,7 +383,7 @@ fn fit_restarts<M: EmModel>(
         left.trips = left.trips.saturating_sub(1);
     }
     let candidates = match warm.flatten() {
-        Some(fit) => vec![(Some(fit), 0)],
+        Some(fit) => vec![(Some(FitResult { warm: true, ..fit }), 0)],
         None if opts.budget.is_none() => {
             dcl_parallel::par_map_indexed(opts.parallelism, opts.restarts, |r| {
                 guarded_restart(obs, opts, r, &mut Remaining::of(None))
@@ -406,11 +412,11 @@ fn fit_restarts<M: EmModel>(
             (b, _) => b,
         };
     }
+    let guard_trips = guard_trips + warm_trips;
     let all_tripped = FitError::AllRestartsTripped {
         restarts: opts.restarts,
         guard_trips,
     };
-    let guard_trips = guard_trips + warm_trips;
     match best {
         Some(mut b) => {
             b.guard_trips = guard_trips;
@@ -436,6 +442,7 @@ fn fit_restarts<M: EmModel>(
                 iterations: 0,
                 converged: false,
                 guard_trips,
+                warm: false,
                 degraded: true,
             })
         }
@@ -648,6 +655,7 @@ impl<'a, M: EmModel> Trajectory<'a, M> {
             iterations,
             converged,
             guard_trips: 0,
+            warm: false,
             degraded: false,
         })
     }
@@ -860,13 +868,14 @@ mod tests {
     }
 
     /// Everything a fit reports, its floats by their bits.
-    fn key(fit: &FitResult<Toy>) -> ([u64; 2], u64, usize, bool, usize, bool) {
+    fn key(fit: &FitResult<Toy>) -> ([u64; 2], u64, usize, bool, usize, bool, bool) {
         (
             fit.model.p.map(f64::to_bits),
             fit.log_likelihood.to_bits(),
             fit.iterations,
             fit.converged,
             fit.guard_trips,
+            fit.warm,
             fit.degraded,
         )
     }
@@ -1024,6 +1033,24 @@ mod tests {
     }
 
     #[test]
+    fn a_tripped_warm_seed_counts_in_the_error_of_an_all_tripping_schedule() {
+        let o = opts(20, 2, |_| Some(0));
+        let (fit, got) = dcl_metrics::capture(|| fit_warm::<Toy>(OBS, &o, &TRIPPING_SEED));
+        let guard_trips = 1 + 2 * (1 + GUARD_RETRIES);
+        assert_eq!(
+            fit.unwrap_err(),
+            FitError::AllRestartsTripped {
+                restarts: 2,
+                guard_trips,
+            }
+        );
+        assert_eq!(
+            got.metrics.counter("toy.em.guard_trips"),
+            guard_trips as u64
+        );
+    }
+
+    #[test]
     fn a_tripped_warm_seed_leaves_the_cold_schedule_the_rest_of_its_budget() {
         let clean: fn(u64) -> Option<usize> = never;
         let cold_trip: fn(u64) -> Option<usize> = |s| (s == 20).then_some(0);
@@ -1102,6 +1129,7 @@ mod tests {
                 ..opts(20, 2, never)
             };
             let (fit, got) = dcl_metrics::capture(|| fit_warm::<Toy>(OBS, &o, &seed).unwrap());
+            assert!(fit.warm, "{budget:?}");
             assert_eq!(fit.guard_trips, 0);
             assert_eq!(fit.degraded, budget.is_some(), "{budget:?}");
             assert_eq!(

@@ -78,7 +78,8 @@ pub enum FitError {
     AllRestartsTripped {
         /// Restarts attempted.
         restarts: usize,
-        /// Total guard trips across all restarts and retries.
+        /// Total guard trips across all restarts and retries, and a
+        /// tripped warm seed's.
         guard_trips: usize,
     },
     /// The fitted model's loss-delay posterior is degenerate (non-finite
