@@ -56,6 +56,10 @@
 #                (`assert_bits_eq`, `assert_*identical*`,
 #                `assert_*bitwise*`) or `dominant_trace` in a tests/*.rs
 #                file, which assert with `assert_eq!` over tests/common;
+#                and no `em_tol`/`em_max_iters` in Rust code outside
+#                crates/core/src/identify.rs, whose
+#                `IdentifyConfig::em_options` is the one translation of a
+#                configuration into EM options;
 #   doc          rustdoc over the workspace, warnings denied, so a renamed
 #                or moved item cannot leave a broken doc link behind.
 #
@@ -253,6 +257,13 @@ job_clippy() {
   # tests/common's. No test file writes its own comparator or trace.
   if grep -nE '\bfn (assert_(bits_eq|\w*identical|\w*bitwise)|dominant_trace)\w*\b' tests/*.rs; then
     echo "report comparator or dominant-link trace outside tests/common" >&2
+    exit 1
+  fi
+  # IdentifyConfig::em_options is the one translation of a configuration
+  # into EM options: nothing else reads the configured EM schedule.
+  if grep -rnE --include='*.rs' '\bem_(tol|max_iters)\b' crates src tests examples \
+       | grep -v '^crates/core/src/identify\.rs:'; then
+    echo "IdentifyConfig's EM schedule read outside IdentifyConfig::em_options" >&2
     exit 1
   fi
 }

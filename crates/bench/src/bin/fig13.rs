@@ -42,9 +42,7 @@ fn run_panel(panel: &str, setting: &NsSetting, measure: f64, log: &ExperimentLog
     }
     // Verdict from the N-ensemble (the paper checks that the per-N fits
     // agree; averaging them makes the test robust to one bad EM basin).
-    let ens = MmhdEnsemble::default()
-        .estimate(&trace, &disc)
-        .expect("losses");
+    let ens = MmhdEnsemble.estimate(&trace, &disc).expect("losses");
     let out = wdcl_test(&ens.cdf(), WdclParams::paper_internet(), 0.01);
     println!(
         "  WDCL-Test on N-ensemble (0.05, 0.05): d* = {:?}, F(2d*) = {:.3} -> {}",

@@ -18,99 +18,18 @@
 //! any single path got its verdict, and `explain <obs.jsonl> --chrome
 //! <out.json>` renders the run's causal span tree with those records as
 //! a Chrome trace.
-//!
-//! With `--checkpoint <path>` or `--restore <path>` the bin instead
-//! drives the grid through a [`StreamingFleet`]: `--checkpoint` ingests
-//! the first half of every path's stream and snapshots the whole fleet
-//! as JSON; `--restore` resumes from such a snapshot and finishes. The
-//! two runs' windows concatenated are bitwise identical to one
-//! uninterrupted streaming run.
 
 use dcl_bench::{fleet_grid, print_header, print_row};
 use dcl_core::identify::Verdict;
-use dcl_core::{StreamConfig, WindowSpec};
-use dcl_fleet::{Fleet, FleetCheckpoint, FleetConfig, StreamingFleet};
-use dcl_netsim::sim::ProbeRecord;
-use dcl_netsim::trace::ProbeTrace;
+use dcl_fleet::{Fleet, FleetConfig};
 use serde_json::json;
 use std::time::Instant;
-
-/// The `--checkpoint` / `--restore` streaming mode: windowed
-/// identification over the grid with a mid-stream fleet snapshot.
-fn run_streaming_mode(cli: &dcl_bench::cli::Cli, grid: Vec<(String, ProbeTrace)>) {
-    let probes = grid.first().map_or(0, |(_, t)| t.records.len());
-    let window = (probes / 2).max(1);
-    let hop = (probes / 4).max(1);
-    let cfg = StreamConfig {
-        window: WindowSpec::Count(window),
-        hop,
-        identify: dcl_bench::light_identify(),
-        ..StreamConfig::default()
-    };
-    let traces: Vec<&ProbeTrace> = grid.iter().map(|(_, t)| t).collect();
-    let restored = cli.restore(|ck: FleetCheckpoint| StreamingFleet::restore_all(None, cfg, ck));
-    let mut fleet = restored.unwrap_or_else(|| {
-        let mut fleet = StreamingFleet::new(None);
-        for (_, t) in &grid {
-            fleet.add_path(cfg, t.base_delay, t.interval);
-        }
-        fleet
-    });
-    assert_eq!(
-        fleet.num_paths(),
-        traces.len(),
-        "checkpoint does not match the grid"
-    );
-    // All paths ingest in lockstep rounds of one hop, so any engine's
-    // ingest count identifies the resume offset.
-    let start = if fleet.num_paths() > 0 {
-        fleet.engine(0).ingested()
-    } else {
-        0
-    };
-    let partial = cli.checkpoint_path().is_some() && cli.restore_path().is_none();
-    let end = if partial { probes / 2 } else { probes };
-    let end = end.max(start);
-    let mut windows = 0usize;
-    let mut off = start;
-    while off < end {
-        let hi = (off + hop).min(end);
-        let chunks: Vec<&[ProbeRecord]> = traces
-            .iter()
-            .map(|t| &t.records[off.min(t.records.len())..hi.min(t.records.len())])
-            .collect();
-        windows += fleet
-            .ingest_round(&chunks)
-            .iter()
-            .map(Vec::len)
-            .sum::<usize>();
-        off = hi;
-    }
-    cli.write_checkpoint(|| fleet.checkpoint_all());
-    if end >= probes {
-        windows += fleet.flush_all().iter().flatten().count();
-    }
-    println!(
-        "streaming {}: {} paths, {} windows evaluated ({} -> {} of {} records/path)",
-        if partial { "checkpoint" } else { "run" },
-        fleet.num_paths(),
-        windows,
-        start,
-        end,
-        probes,
-    );
-}
 
 fn main() {
     let cli = dcl_bench::cli::init();
     let quick = cli.quick();
     let paths = cli.pos_usize(0).unwrap_or(if quick { 120 } else { 1000 });
     let probes_per_path = cli.pos_usize(1).unwrap_or(if quick { 200 } else { 250 });
-    if cli.checkpoint_path().is_some() || cli.restore_path().is_some() {
-        let grid = fleet_grid(paths, probes_per_path, 0xF1EE7);
-        run_streaming_mode(&cli, grid);
-        return;
-    }
     let log = cli.log("fleet");
 
     print_header("Fleet", "many-path identification, one pool item per path");

@@ -13,9 +13,10 @@
 //! only the end-of-run table. A Chrome trace of the run's causal span
 //! tree and verdict-provenance instants is rendered from the `--obs`
 //! artifact afterwards: `explain <obs.jsonl> --chrome <out.json>`. The
-//! streaming bins additionally accept `--checkpoint <path>` (write an
+//! `streaming` bin additionally accepts `--checkpoint <path>` (write an
 //! end-of-run engine checkpoint as JSON) and `--restore <path>` (resume
-//! from one); bins without checkpointable state ignore both. `--seeds
+//! from one), and `recovery` writes its fleet checkpoint to
+//! `--checkpoint`; bins without checkpointable state ignore both. `--seeds
 //! <n>` asks the streaming bin for its multi-seed row, and `--out <path>`
 //! names the perf bin's report; other bins ignore them. Any other
 //! argument that starts with `--` is a usage error.
@@ -190,7 +191,7 @@ impl Cli {
         self.metrics_path.as_deref()
     }
 
-    /// Where the streaming bins should write an end-of-run checkpoint,
+    /// Where the checkpointing bins should write an end-of-run checkpoint,
     /// if `--checkpoint` was given. Bins without checkpointable state
     /// ignore the flag.
     pub fn checkpoint_path(&self) -> Option<&std::path::Path> {

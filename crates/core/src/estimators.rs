@@ -15,7 +15,7 @@ use crate::hyptest::{sdcl_test, wdcl_test};
 use crate::identify::{IdentifyConfig, Verdict};
 use dcl_mmhd::MmhdSettings;
 use dcl_netsim::trace::ProbeTrace;
-use dcl_probnum::em::{self, EmBudget, EmModel, EmOptions};
+use dcl_probnum::em::{self, EmModel, EmOptions};
 use dcl_probnum::{FitError, Pmf};
 use std::fmt;
 
@@ -99,7 +99,7 @@ pub(crate) struct FitStats {
     /// Is the fit the warm trajectory from previous-window parameters
     /// ([`em::FitResult::warm`])?
     pub warm: bool,
-    /// Was the fit clipped by an [`EmBudget`] (best-effort
+    /// Was the fit clipped by the [`IdentifyConfig::budget`] (best-effort
     /// result rather than a fully converged one)?
     pub degraded: bool,
 }
@@ -194,57 +194,33 @@ impl VqdEstimator for LossPairEstimator {
     }
 }
 
-/// Model-based estimation with a hidden Markov model.
+/// Model-based estimation with a hidden Markov model. Every EM setting
+/// it does not name is [`EmOptions::default`]'s.
 #[derive(Debug, Clone, Copy)]
 pub struct HmmEstimator {
     /// Number of hidden states `N`.
     pub num_states: usize,
-    /// EM convergence tolerance.
-    pub tol: f64,
-    /// EM iteration cap.
-    pub max_iters: usize,
-    /// Initialisation seed.
-    pub seed: u64,
     /// Random restarts.
     pub restarts: usize,
-    /// Worker threads for the EM restarts (see [`EmOptions::parallelism`]);
-    /// `None` uses the environment/available cores, `Some(1)` is the exact
-    /// serial path. Results are bitwise identical at every setting.
-    pub parallelism: Option<usize>,
-    /// Bounded-work EM budget (see [`EmBudget`]). `None` (the default)
-    /// fits to convergence; `Some` caps total iterations and guard trips
-    /// and marks clipped fits degraded.
-    pub budget: Option<EmBudget>,
 }
 
 impl Default for HmmEstimator {
     fn default() -> Self {
-        let em = EmOptions::<()>::default();
         HmmEstimator {
             num_states: 2,
-            tol: em.tol,
-            max_iters: em.max_iters,
-            seed: em.seed,
             restarts: 1,
-            parallelism: None,
-            budget: None,
         }
     }
 }
 
 impl HmmEstimator {
     /// The EM options of a fit over `disc`'s symbols.
-    pub(crate) fn options(&self, disc: &Discretizer) -> dcl_hmm::EmOptions {
+    fn options(&self, disc: &Discretizer) -> dcl_hmm::EmOptions {
         dcl_hmm::EmOptions {
             num_hidden: self.num_states,
             num_symbols: disc.num_symbols(),
-            tol: self.tol,
-            max_iters: self.max_iters,
-            seed: self.seed,
             restarts: self.restarts,
-            parallelism: self.parallelism,
-            budget: self.budget,
-            settings: (),
+            ..EmOptions::default()
         }
     }
 }
@@ -261,42 +237,23 @@ impl VqdEstimator for HmmEstimator {
 }
 
 /// Model-based estimation with a Markov model with a hidden dimension —
-/// the configuration the paper recommends.
+/// the configuration the paper recommends. Every EM setting it does not
+/// name is [`EmOptions::default`]'s.
 #[derive(Debug, Clone, Copy)]
 pub struct MmhdEstimator {
     /// Number of hidden components `N`.
     pub num_hidden: usize,
-    /// EM convergence tolerance.
-    pub tol: f64,
-    /// EM iteration cap.
-    pub max_iters: usize,
-    /// Initialisation seed.
-    pub seed: u64,
     /// Random restarts.
     pub restarts: usize,
-    /// Worker threads for the EM restarts (see [`EmOptions::parallelism`]);
-    /// `None` uses the environment/available cores, `Some(1)` is the exact
-    /// serial path. Results are bitwise identical at every setting.
-    pub parallelism: Option<usize>,
-    /// Bounded-work EM budget (see [`EmBudget`]). `None` (the default)
-    /// fits to convergence; `Some` caps total iterations and guard trips
-    /// and marks clipped fits degraded.
-    pub budget: Option<EmBudget>,
     /// The MMHD's initialisation and loss-tying switches.
     pub settings: MmhdSettings,
 }
 
 impl Default for MmhdEstimator {
     fn default() -> Self {
-        let em = EmOptions::<()>::default();
         MmhdEstimator {
             num_hidden: 2,
-            tol: em.tol,
-            max_iters: em.max_iters,
-            seed: em.seed,
             restarts: 6,
-            parallelism: None,
-            budget: None,
             settings: MmhdSettings::default(),
         }
     }
@@ -304,17 +261,13 @@ impl Default for MmhdEstimator {
 
 impl MmhdEstimator {
     /// The EM options of a fit over `disc`'s symbols.
-    pub(crate) fn options(&self, disc: &Discretizer) -> dcl_mmhd::EmOptions {
+    fn options(&self, disc: &Discretizer) -> dcl_mmhd::EmOptions {
         dcl_mmhd::EmOptions {
             num_hidden: self.num_hidden,
             num_symbols: disc.num_symbols(),
-            tol: self.tol,
-            max_iters: self.max_iters,
-            seed: self.seed,
             restarts: self.restarts,
-            parallelism: self.parallelism,
-            budget: self.budget,
             settings: self.settings,
+            ..EmOptions::default()
         }
     }
 }
@@ -330,29 +283,20 @@ impl VqdEstimator for MmhdEstimator {
     }
 }
 
-/// Ensemble of MMHD fits across several hidden-state counts, averaging the
-/// resulting virtual-queuing-delay PMFs with equal weight.
+/// Ensemble of default MMHD fits at N = 1, 2 and 4 hidden components,
+/// averaging the resulting virtual-queuing-delay PMFs with equal weight.
 ///
 /// The paper fits N = 1..4 and observes that "the inference results under
 /// different values of N are very similar" (§VI-B); when they are, the
 /// average changes nothing. When one N lands in a degenerate EM basin (the
 /// concentration failure of DESIGN.md §7), the others outvote it — making
 /// the ensemble the most robust default for low-loss wide-area traces.
-#[derive(Debug, Clone)]
-pub struct MmhdEnsemble {
-    /// Hidden-state counts to fit (e.g. `[1, 2, 4]`).
-    pub hidden: Vec<usize>,
-    /// Base configuration applied to each member.
-    pub base: MmhdEstimator,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct MmhdEnsemble;
 
-impl Default for MmhdEnsemble {
-    fn default() -> Self {
-        MmhdEnsemble {
-            hidden: vec![1, 2, 4],
-            base: MmhdEstimator::default(),
-        }
-    }
+impl MmhdEnsemble {
+    /// Hidden-component counts of the members, in accumulation order.
+    const HIDDEN: [usize; 3] = [1, 2, 4];
 }
 
 impl VqdEstimator for MmhdEnsemble {
@@ -364,10 +308,10 @@ impl VqdEstimator for MmhdEnsemble {
         let mut acc = vec![0.0; disc.num_symbols()];
         let mut members = 0usize;
         let mut last_err = EstimateError::NoData;
-        for &n in &self.hidden {
+        for num_hidden in Self::HIDDEN {
             let est = MmhdEstimator {
-                num_hidden: n,
-                ..self.base
+                num_hidden,
+                ..MmhdEstimator::default()
             };
             match est.estimate(trace, disc) {
                 Ok(pmf) => {
@@ -534,15 +478,66 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_averages_member_estimates() {
-        let t = synthetic_trace(1500, false);
+    fn model_estimators_equal_a_direct_em_fit() {
+        let t = synthetic_trace(2000, false);
         let disc = Discretizer::from_trace(&t, 5, None).unwrap();
-        let ens = MmhdEnsemble::default().estimate(&t, &disc).unwrap();
+        let obs = disc.observations(&t);
+        let mmhd: dcl_mmhd::EmOptions = EmOptions {
+            num_hidden: 2,
+            num_symbols: 5,
+            restarts: 6,
+            ..EmOptions::default()
+        };
+        let direct = em::try_fit::<dcl_mmhd::Mmhd>(&obs, &mmhd).unwrap().model;
+        assert_eq!(
+            MmhdEstimator::default().estimate(&t, &disc).ok(),
+            direct.loss_delay_pmf(&obs)
+        );
+        let hmm: dcl_hmm::EmOptions = EmOptions {
+            num_hidden: 2,
+            num_symbols: 5,
+            restarts: 1,
+            ..EmOptions::default()
+        };
+        let direct = em::try_fit::<dcl_hmm::Hmm>(&obs, &hmm).unwrap().model;
+        assert_eq!(
+            HmmEstimator::default().estimate(&t, &disc).ok(),
+            direct.loss_delay_pmf(&obs)
+        );
+    }
+
+    #[test]
+    fn ensemble_averages_member_estimates() {
+        // Losses in the quiet phases too, so that the members' estimates
+        // differ and the mass check below sees which members were summed.
+        let mut t = synthetic_trace(1500, false);
+        for r in t.records.iter_mut().skip(5).step_by(40) {
+            r.arrival = None;
+            r.stamp.loss_hop = Some(1);
+        }
+        let disc = Discretizer::from_trace(&t, 5, None).unwrap();
+        let ens = MmhdEnsemble.estimate(&t, &disc).unwrap();
         let sum: f64 = ens.mass().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         // The ensemble must agree with its members on where the bulk is.
         let single = MmhdEstimator::default().estimate(&t, &disc).unwrap();
         assert_eq!(ens.mode(), single.mode());
+        // Its mass is the members' mass, summed in N order, normalised.
+        let mut acc = vec![0.0; disc.num_symbols()];
+        for num_hidden in [1, 2, 4] {
+            let member = MmhdEstimator {
+                num_hidden,
+                ..MmhdEstimator::default()
+            }
+            .estimate(&t, &disc)
+            .unwrap();
+            for (a, &p) in acc.iter_mut().zip(member.mass()) {
+                *a += p;
+            }
+        }
+        let total: f64 = acc.iter().sum();
+        let normalised: Vec<f64> = acc.iter().map(|a| a / total).collect();
+        assert_eq!(ens.mass(), &normalised[..]);
     }
 
     #[test]

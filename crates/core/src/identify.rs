@@ -9,12 +9,11 @@
 
 use crate::bound::{heuristic_upper_bound, upper_bound_from_cdf, HeuristicParams};
 use crate::discretize::Discretizer;
-use crate::estimators::{
-    estimate_fitted, EstimateError, FitStats, FittedModel, HmmEstimator, MmhdEstimator,
-};
+use crate::estimators::{estimate_fitted, EstimateError, FitStats, FittedModel};
 use crate::hyptest::{sdcl_test, wdcl_test, TestOutcome, WdclParams};
 use dcl_netsim::time::Dur;
 use dcl_netsim::trace::{ProbeTrace, TraceSanitation};
+use dcl_probnum::em::EmOptions;
 use dcl_probnum::{FitError, Pmf};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -83,7 +82,7 @@ pub struct IdentifyConfig {
 
 impl Default for IdentifyConfig {
     fn default() -> Self {
-        let em = dcl_probnum::em::EmOptions::<()>::default();
+        let em = EmOptions::<()>::default();
         IdentifyConfig {
             num_symbols: 5,
             bound_symbols: 40,
@@ -99,6 +98,30 @@ impl Default for IdentifyConfig {
             parallelism: None,
             min_losses: 2,
             budget: None,
+        }
+    }
+}
+
+impl IdentifyConfig {
+    /// The EM options of one fit over `num_symbols` delay symbols with
+    /// `restarts` random restarts: the one translation from this
+    /// configuration to the EM schedule. `N` comes from [`Self::model`]
+    /// and the model family's settings are their defaults.
+    pub fn em_options<X: Default>(&self, num_symbols: usize, restarts: usize) -> EmOptions<X> {
+        let num_hidden = match self.model {
+            ModelKind::Mmhd { num_hidden } => num_hidden,
+            ModelKind::Hmm { num_states } => num_states,
+        };
+        EmOptions {
+            num_hidden,
+            num_symbols,
+            tol: self.em_tol,
+            max_iters: self.em_max_iters,
+            seed: self.seed,
+            restarts,
+            parallelism: self.parallelism,
+            budget: self.budget,
+            settings: X::default(),
         }
     }
 }
@@ -383,13 +406,13 @@ fn estimate_error(e: EstimateError) -> IdentifyError {
     }
 }
 
-/// The one translation from an [`IdentifyConfig`] to a model fit over
-/// `disc`'s symbols, with `restarts` random restarts. The coarse fit passes
-/// the configured restarts and, when streaming, the previous window's
-/// model; the bound re-fit passes the fine discretiser, at most two
-/// restarts and no warm state. The warm model is used only when its
-/// family matches the configuration — warm state from a different family
-/// is silently ignored (cold start).
+/// One model fit over `disc`'s symbols, with the EM schedule of
+/// [`IdentifyConfig::em_options`] and `restarts` random restarts. The
+/// coarse fit passes the configured restarts and, when streaming, the
+/// previous window's model; the bound re-fit passes the fine discretiser,
+/// at most two restarts and no warm state. The warm model is used only
+/// when its family matches the configuration — warm state from a
+/// different family is silently ignored (cold start).
 fn fit_model(
     trace: &ProbeTrace,
     disc: &Discretizer,
@@ -397,40 +420,24 @@ fn fit_model(
     restarts: usize,
     warm: Option<&FittedModel>,
 ) -> Result<(Pmf, FittedModel, FitStats), EstimateError> {
+    let m = disc.num_symbols();
     match cfg.model {
-        ModelKind::Mmhd { num_hidden } => {
-            let est = MmhdEstimator {
-                num_hidden,
-                tol: cfg.em_tol,
-                max_iters: cfg.em_max_iters,
-                seed: cfg.seed,
-                restarts,
-                parallelism: cfg.parallelism,
-                budget: cfg.budget,
-                ..MmhdEstimator::default()
-            };
+        ModelKind::Mmhd { .. } => {
             let init = match warm {
-                Some(FittedModel::Mmhd(m)) => Some(m),
+                Some(FittedModel::Mmhd(prev)) => Some(prev),
                 _ => None,
             };
-            let (pmf, model, stats) = estimate_fitted(trace, disc, &est.options(disc), init)?;
+            let (pmf, model, stats) =
+                estimate_fitted(trace, disc, &cfg.em_options(m, restarts), init)?;
             Ok((pmf, FittedModel::Mmhd(model), stats))
         }
-        ModelKind::Hmm { num_states } => {
-            let est = HmmEstimator {
-                num_states,
-                tol: cfg.em_tol,
-                max_iters: cfg.em_max_iters,
-                seed: cfg.seed,
-                restarts,
-                parallelism: cfg.parallelism,
-                budget: cfg.budget,
-            };
+        ModelKind::Hmm { .. } => {
             let init = match warm {
-                Some(FittedModel::Hmm(m)) => Some(m),
+                Some(FittedModel::Hmm(prev)) => Some(prev),
                 _ => None,
             };
-            let (pmf, model, stats) = estimate_fitted(trace, disc, &est.options(disc), init)?;
+            let (pmf, model, stats) =
+                estimate_fitted(trace, disc, &cfg.em_options(m, restarts), init)?;
             Ok((pmf, FittedModel::Hmm(model), stats))
         }
     }
@@ -647,7 +654,7 @@ pub fn identify_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::VqdEstimator;
+    use crate::estimators::{HmmEstimator, MmhdEstimator, VqdEstimator};
     use dcl_netsim::packet::ProbeStamp;
     use dcl_netsim::sim::ProbeRecord;
     use dcl_netsim::time::Time;
@@ -752,7 +759,8 @@ mod tests {
     fn bound_refit_equals_a_direct_fine_fit() {
         // The bound is the connected-component heuristic on a cold fit of
         // the sanitised trace at `bound_symbols`, with at most two restarts
-        // and every other EM setting taken from the configuration.
+        // and every other EM setting at its default. The direct fit spells
+        // the estimator out, independently of `IdentifyConfig::em_options`.
         let t = dominant_trace(2000);
         let (sanitized, _) = t.sanitized();
         for model in [
@@ -770,22 +778,12 @@ mod tests {
             let direct: Box<dyn VqdEstimator> = match model {
                 ModelKind::Mmhd { num_hidden } => Box::new(MmhdEstimator {
                     num_hidden,
-                    tol: cfg.em_tol,
-                    max_iters: cfg.em_max_iters,
-                    seed: cfg.seed,
                     restarts: cfg.restarts.min(2),
-                    parallelism: cfg.parallelism,
-                    budget: cfg.budget,
-                    ..MmhdEstimator::default()
+                    ..Default::default()
                 }),
                 ModelKind::Hmm { num_states } => Box::new(HmmEstimator {
                     num_states,
-                    tol: cfg.em_tol,
-                    max_iters: cfg.em_max_iters,
-                    seed: cfg.seed,
                     restarts: cfg.restarts.min(2),
-                    parallelism: cfg.parallelism,
-                    budget: cfg.budget,
                 }),
             };
             let fine_pmf = direct.estimate(&sanitized, &fine).unwrap();

@@ -187,20 +187,6 @@ impl ProbeTrace {
             .collect()
     }
 
-    /// Sub-trace of probes sent within `[from, to)`.
-    pub fn window(&self, from: Time, to: Time) -> ProbeTrace {
-        ProbeTrace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.stamp.sent_at >= from && r.stamp.sent_at < to)
-                .cloned()
-                .collect(),
-            base_delay: self.base_delay,
-            interval: self.interval,
-        }
-    }
-
     /// Sub-trace of `count` consecutive probes starting at index `start`
     /// (clamped to the trace end).
     pub fn segment(&self, start: usize, count: usize) -> ProbeTrace {
@@ -324,14 +310,6 @@ mod tests {
                 Dur::from_millis(5.0)
             ]
         );
-    }
-
-    #[test]
-    fn window_selects_by_send_time() {
-        let t = trace();
-        let w = t.window(Time::from_secs(0.02), Time::from_secs(0.08));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.records[0].stamp.seq, 1);
     }
 
     #[test]
