@@ -47,8 +47,8 @@
 #                verdict-transition events naming its path, then a
 #                two-process streaming kill/restore;
 #   clippy       the whole workspace, all targets, warnings denied; no
-#                read of forward–backward rows (`alpha_row`, `beta_row`,
-#                `beta_on_support`) in the models or dcl-core; and no call
+#                read of forward–backward rows (`alpha_row`, `beta_row`)
+#                in the models or dcl-core; and no call
 #                of the setting constructors in the paper bins or the
 #                golden test, which read the scenario catalogue; and no
 #                `gen_range` under crates/bench/src, whose segment draws
@@ -226,7 +226,7 @@ job_clippy() {
   cargo clippy -q --locked --workspace --all-targets -- -D warnings
   # The forward–backward row layout stays in dcl-probnum's fb.rs: the
   # models and dcl-core read alpha and beta only through its methods.
-  if grep -rnE '\.(alpha_row|beta_row|beta_on_support)\(' \
+  if grep -rnE '\.(alpha_row|beta_row)\(' \
        crates/hmm/src crates/mmhd/src crates/core/src; then
     echo "forward-backward rows read outside dcl-probnum" >&2
     exit 1

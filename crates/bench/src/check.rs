@@ -235,14 +235,7 @@ pub fn validate_checkpoint(text: &str) -> Result<String, String> {
                 ));
             }
         }
-        let wire = serde_json::to_string(&ck).map_err(|e| format!("re-serialise failed: {e}"))?;
-        let back: dcl_fleet::FleetCheckpoint =
-            serde_json::from_str(&wire).map_err(|e| format!("round-trip parse failed: {e}"))?;
-        let wire2 =
-            serde_json::to_string(&back).map_err(|e| format!("re-serialise failed: {e}"))?;
-        if wire != wire2 {
-            return Err("fleet checkpoint does not round-trip byte-identically".into());
-        }
+        round_trips(&ck, "fleet")?;
         let buffered: usize = ck.paths.iter().map(|p| p.window_len()).sum();
         Ok(format!(
             "fleet checkpoint ok (version {}, {} paths, {} records buffered)",
@@ -258,14 +251,7 @@ pub fn validate_checkpoint(text: &str) -> Result<String, String> {
                 dcl_core::CHECKPOINT_VERSION
             ));
         }
-        let wire = serde_json::to_string(&ck).map_err(|e| format!("re-serialise failed: {e}"))?;
-        let back: dcl_core::StreamingCheckpoint =
-            serde_json::from_str(&wire).map_err(|e| format!("round-trip parse failed: {e}"))?;
-        let wire2 =
-            serde_json::to_string(&back).map_err(|e| format!("re-serialise failed: {e}"))?;
-        if wire != wire2 {
-            return Err("engine checkpoint does not round-trip byte-identically".into());
-        }
+        round_trips(&ck, "engine")?;
         Ok(format!(
             "engine checkpoint ok (version {}, {} ingested, {} windows, {} buffered)",
             ck.version,
@@ -276,6 +262,21 @@ pub fn validate_checkpoint(text: &str) -> Result<String, String> {
     } else {
         Err("not a fleet or engine checkpoint (neither shape parses)".into())
     }
+}
+
+/// Serialise `ck`, parse the text back and serialise again: the two texts
+/// must be the same bytes. `what` names the checkpoint's shape.
+fn round_trips<T: serde::Serialize + serde::Deserialize>(ck: &T, what: &str) -> Result<(), String> {
+    let wire = serde_json::to_string(ck).map_err(|e| format!("re-serialise failed: {e}"))?;
+    let back: T =
+        serde_json::from_str(&wire).map_err(|e| format!("round-trip parse failed: {e}"))?;
+    let wire2 = serde_json::to_string(&back).map_err(|e| format!("re-serialise failed: {e}"))?;
+    if wire != wire2 {
+        return Err(format!(
+            "{what} checkpoint does not round-trip byte-identically"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -98,6 +98,10 @@ impl EmModel for Hmm {
         } = scratch;
         self.emissions_into(obs, emis);
         fb.run_into(self.initial(), self.transition(), emis);
+        if !fb.log_likelihood.is_finite() {
+            // The model rules `obs` out: there are no posteriors to count.
+            return fb.log_likelihood;
+        }
         let n = self.num_states();
         let m = self.num_symbols();
 

@@ -160,13 +160,17 @@ impl Hmm {
     /// expected symbol counts of the loss observations under the smoothed
     /// state posteriors.
     ///
-    /// Returns `None` when the sequence contains no losses.
+    /// Returns `None` when the sequence contains no losses, or when the
+    /// model rules it out (log-likelihood `-inf`).
     pub fn loss_delay_pmf(&self, obs: &[Obs]) -> Option<Pmf> {
         if !obs.iter().any(|o| o.is_loss()) {
             return None;
         }
         let emis = self.emissions(obs);
         let fb = ForwardBackward::run(&self.pi, &self.a, &emis);
+        if !fb.log_likelihood.is_finite() {
+            return None;
+        }
         let mut post = Matrix::zeros(0, 0);
         self.loss_symbol_posteriors_into(&mut post);
         let mut mass = vec![0.0; self.num_symbols()];
@@ -263,6 +267,22 @@ mod tests {
     fn loss_delay_pmf_none_without_losses() {
         let h = tiny();
         assert!(h.loss_delay_pmf(&[Obs::Sym(1), Obs::Sym(2)]).is_none());
+    }
+
+    /// Symbol 3 is never delivered (`c = 1`), so the delivered `Sym(3)` at
+    /// step 1 has likelihood 0 in every state and the model rules the
+    /// sequence out: its EM step has no re-estimate and gives the model
+    /// back unchanged with `-inf`, and it has no loss-delay distribution.
+    #[test]
+    fn a_model_that_rules_the_data_out_does_not_step() {
+        let h = tiny();
+        let model = Hmm::from_parts(h.pi, h.a, h.b, vec![0.0, 0.1, 1.0]);
+        let obs = [Obs::Sym(1), Obs::Sym(3), Obs::Loss];
+        let (next, ll) = crate::em_step(&model, &obs);
+        assert_eq!(ll, f64::NEG_INFINITY);
+        assert_eq!(format!("{next:?}"), format!("{model:?}"));
+        assert_eq!(model.log_likelihood(&obs), f64::NEG_INFINITY);
+        assert!(model.loss_delay_pmf(&obs).is_none());
     }
 
     #[test]

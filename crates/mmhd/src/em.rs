@@ -128,6 +128,10 @@ impl EmModel for Mmhd {
         } = scratch;
         self.emissions_into(obs, emis);
         fb.run_into(self.initial(), self.transition(), emis);
+        if !fb.log_likelihood.is_finite() {
+            // The model rules `obs` out: there are no posteriors to count.
+            return fb.log_likelihood;
+        }
         let s = self.num_states();
         let m = self.num_symbols();
 
@@ -147,8 +151,8 @@ impl EmModel for Mmhd {
         gamma.resize(s, 0.0);
 
         for (t, o) in obs.iter().enumerate() {
-            // gamma_t is zero off the states it wrote: the active set of step
-            // t, or every state when its row sum fell back to uniform.
+            // gamma_t is zero off the states it wrote: the support of step t,
+            // or every state when its row sum fell back to uniform.
             let wrote = fb.gamma_into(emis, t, gamma);
             if t == 0 {
                 for &x in wrote {

@@ -282,13 +282,17 @@ impl Mmhd {
     /// the paper's Eq. (5): the smoothed posterior symbol mass of the loss
     /// observations, normalised by the number of losses.
     ///
-    /// Returns `None` when the sequence contains no losses.
+    /// Returns `None` when the sequence contains no losses, or when the
+    /// model rules it out (log-likelihood `-inf`).
     pub fn loss_delay_pmf(&self, obs: &[Obs]) -> Option<Pmf> {
         if !obs.iter().any(|o| o.is_loss()) {
             return None;
         }
         let emis = self.emissions(obs);
         let fb = ForwardBackward::run(&self.pi, &self.p, &emis);
+        if !fb.log_likelihood.is_finite() {
+            return None;
+        }
         let mut mass = vec![0.0; self.num_symbols()];
         let mut gamma = vec![0.0; self.num_states()];
         for (t, &o) in obs.iter().enumerate() {
@@ -456,35 +460,19 @@ mod tests {
         }
     }
 
-    /// The step before an impossible observation has `alpha * beta = 0` on
-    /// every state, so its posterior falls back to uniform over all `S`
-    /// states, not just alpha's active set, and the M-step's state totals
-    /// count that mass. Here symbol 1 is never delivered (`c = 1`), so the
-    /// delivered `Sym(1)` at step 1 has an empty emission row and step 0's
-    /// posterior is uniform although alpha_0 lives on state 1 only.
+    /// Symbol 1 is never delivered (`c = 1`), so the delivered `Sym(1)` at
+    /// step 1 has an empty emission row and the model rules the sequence
+    /// out: its EM step has no re-estimate and gives the model back
+    /// unchanged with `-inf`, and it has no loss-delay distribution.
     #[test]
-    fn gamma_fallback_mass_reaches_the_state_totals() {
+    fn a_model_that_rules_the_data_out_does_not_step() {
         let p = Matrix::from_vec(2, 2, vec![0.6, 0.4, 0.3, 0.7]);
         let model = Mmhd::from_parts_per_state(vec![0.5, 0.5], p, vec![1.0, 0.5], 1);
         let obs = [Obs::Sym(2), Obs::Sym(1), Obs::Loss];
-        let mut rows = Emissions::new(0);
-        model.emissions_into(&obs, &mut rows);
-        assert!(rows.support(1).is_empty());
-        let fb = ForwardBackward::run(model.initial(), model.transition(), &rows);
-        assert_eq!(fb.active(&rows, 0), &[1]);
-
-        let mut g = vec![0.0; 2];
-        assert_eq!(fb.gamma_into(&rows, 0, &mut g), &[0, 1]);
-        assert_eq!(g, [0.5, 0.5]);
-        let (g1, g2) = (fb.gamma(&rows, 1), fb.gamma(&rows, 2));
-        assert!(g1[0] > 0.0 && g2[0] > 0.0);
-
-        // State 0's loss probability is its expected losses over its expected
-        // visits, summed in step order; the visits include step 0's 0.5.
-        let (next, _) = crate::em_step(&model, &obs);
-        let want = (0.0 + g2[0]) / (0.0 + g[0] + g1[0] + g2[0]);
-        assert_eq!(next.loss_probs()[0].to_bits(), want.to_bits());
-        assert_ne!(want, g2[0] / (g1[0] + g2[0]));
-        assert_eq!(next.initial(), &[0.5, 0.5]);
+        let (next, ll) = crate::em_step(&model, &obs);
+        assert_eq!(ll, f64::NEG_INFINITY);
+        assert_eq!(format!("{next:?}"), format!("{model:?}"));
+        assert_eq!(model.log_likelihood(&obs), f64::NEG_INFINITY);
+        assert!(model.loss_delay_pmf(&obs).is_none());
     }
 }

@@ -133,7 +133,9 @@ pub trait EmModel: Clone + Send + Sync + Sized {
 
     /// One EM step: writes the re-estimated model into `out`, a model of
     /// the same dimensions whose parameters are all overwritten, and
-    /// returns the log-likelihood of `obs` under `self`.
+    /// returns the log-likelihood of `obs` under `self`. A model that rules
+    /// `obs` out (log-likelihood `-inf`) has no re-estimate: it returns
+    /// `-inf` and leaves `out` as it was.
     fn em_step_into(&self, obs: &[Obs], scratch: &mut Self::Scratch, out: &mut Self) -> f64;
     /// The initial model of a restart seeded from `rng_seed`.
     fn initial_model(obs: &[Obs], opts: &EmOptions<Self::Settings>, rng_seed: u64) -> Self;
@@ -142,7 +144,7 @@ pub trait EmModel: Clone + Send + Sync + Sized {
     fn prepare(&mut self, obs: &[Obs], opts: &EmOptions<Self::Settings>);
     /// `P(delay symbol | loss)` over `obs`: the paper's Eq. (5), the
     /// distribution every fit exists to produce. `None` when `obs` holds
-    /// no loss.
+    /// no loss or the model rules `obs` out (log-likelihood `-inf`).
     fn loss_delay_pmf(&self, obs: &[Obs]) -> Option<Pmf>;
     /// Log-likelihood of `obs` under the model.
     fn log_likelihood(&self, obs: &[Obs]) -> f64;
@@ -179,7 +181,8 @@ pub fn em_step<M: EmModel>(model: &M, obs: &[Obs]) -> (M, f64) {
 /// [`em_step`] reusing the caller's scratch buffers; numerically (bitwise)
 /// identical to the allocating version. The returned model is still a new
 /// allocation (a clone of `model`, overwritten); the fit's trajectory
-/// steps into models it holds instead.
+/// steps into models it holds instead. A model that rules `obs` out comes
+/// back unchanged, with `-inf`.
 pub fn em_step_with<M: EmModel>(model: &M, obs: &[Obs], scratch: &mut M::Scratch) -> (M, f64) {
     let mut next = model.clone();
     let ll = model.em_step_into(obs, scratch, &mut next);

@@ -12,14 +12,15 @@
 //! zero; [`Emissions`] stores exactly those entries. An MMHD state is a
 //! (hidden component, delay symbol) pair and a delivered probe pins the
 //! symbol, so only `N` of the `N·M` states can emit it. The active set of
-//! step `t` is its support, or every state after a degenerate step whose
-//! forward row was reset to uniform; `alpha_t` is zero off it, so alpha and
-//! beta are stored on it alone, one compact row per step. The forward pass
-//! scans the previous active set, `beta_t` is computed only on `alpha_t`'s
-//! active set, [`ForwardBackward::gamma_into`] writes only there and
+//! step `t` is its support: `alpha_t` is zero off it, so alpha and beta are
+//! stored on it alone, one compact row per step. A step that no state
+//! explains makes the observations impossible under the model: the run
+//! stops there with log-likelihood `-inf` and has no posteriors. The
+//! forward pass scans the previous support, `beta_t` is computed only on
+//! step `t`'s, [`ForwardBackward::gamma_into`] writes only there and
 //! [`ForwardBackward::add_transitions`] pairs it with the next support, so
-//! a step costs `O(|active(t)| · |support(t+1)|)`. Every skipped term is an
-//! exact `+0.0` and the surviving terms are summed in the dense index
+//! a step costs `O(|support(t)| · |support(t+1)|)`. Every skipped term is
+//! an exact `+0.0` and the surviving terms are summed in the dense index
 //! order, so alpha, the scales, the likelihood, gamma, and beta wherever
 //! alpha is not zero are bitwise those of the dense recursion (pinned by
 //! the dense oracle in the property tests). HMM emission rows are dense,
@@ -159,17 +160,19 @@ impl Emissions {
 /// Output of the scaled forward–backward recursion over `T` steps and `S`
 /// states.
 ///
-/// Alpha and beta are stored on the active sets only: row `t` of each
-/// holds one entry per state of [`ForwardBackward::active`]`(t)`, in that
-/// order, and both are zero off it. The models read them only through
-/// [`ForwardBackward::gamma_into`] and [`ForwardBackward::add_transitions`];
-/// the row accessors serve the dense-recursion test oracles.
+/// Alpha and beta are stored on the supports only: row `t` of each holds
+/// one entry per state of the support of step `t` in the run's emissions,
+/// in that order, and both are zero off it. The models read them only
+/// through [`ForwardBackward::gamma_into`] and
+/// [`ForwardBackward::add_transitions`]; the row accessors serve the
+/// dense-recursion test oracles. A run whose likelihood is not finite
+/// stopped at its first impossible step and has no posteriors.
 #[derive(Debug, Clone)]
 pub struct ForwardBackward {
     /// Scaled forward variables, flat; row `t` sums to one.
     alpha: Vec<f64>,
     /// Scaled backward variables, flat, scaled with the forward factors.
-    /// Only the active set of step `t` is computed: `beta_t(j)` only ever
+    /// Only the support of step `t` is computed: `beta_t(j)` only ever
     /// multiplies `alpha_t(j)`, which is zero off it.
     beta: Vec<f64>,
     /// Row `t` of `alpha` and `beta` is `offset[t]..offset[t + 1]`.
@@ -178,14 +181,10 @@ pub struct ForwardBackward {
     pub scales: Vec<f64>,
     /// Log-likelihood of the observation sequence.
     pub log_likelihood: f64,
-    /// Steps whose forward row was reset to uniform (no state explains the
-    /// observation); their active set is every state.
-    degenerate: Vec<bool>,
     /// Every state, ascending.
     all: Vec<u32>,
-    /// A row over the support of step `t + 1`, reused from step to step
-    /// and run to run: the backward pass's `beta_{t+1} * e_{t+1}`, and
-    /// [`ForwardBackward::add_transitions`]'s `beta_{t+1}`.
+    /// The backward pass's `beta_{t+1} * e_{t+1}` over the support of step
+    /// `t + 1`, reused from step to step and run to run.
     weighted: Vec<f64>,
 }
 
@@ -200,7 +199,6 @@ impl ForwardBackward {
             offset: Vec::new(),
             scales: Vec::new(),
             log_likelihood: 0.0,
-            degenerate: Vec::new(),
             all: Vec::new(),
             weighted: Vec::new(),
         }
@@ -215,10 +213,11 @@ impl ForwardBackward {
     ///   states).
     ///
     /// Panics on shape mismatches or an empty sequence. If some step makes
-    /// every state impossible (all-zero emission row after transition), the
-    /// step's posterior is replaced by the uniform distribution and the
-    /// log-likelihood saturates at `-inf` — callers should treat that as a
-    /// degenerate model, not a crash.
+    /// every state impossible (all-zero forward row after the emissions),
+    /// the run stops there and its log-likelihood is `-inf`: the model
+    /// rules the observations out, and the run has no posteriors
+    /// ([`ForwardBackward::gamma_into`] and
+    /// [`ForwardBackward::add_transitions`] panic on it).
     pub fn run(init: &[f64], trans: &Matrix, emis: &Emissions) -> ForwardBackward {
         let mut fb = ForwardBackward::empty();
         fb.run_into(init, trans, emis);
@@ -229,10 +228,10 @@ impl ForwardBackward {
     ///
     /// The hot EM loops call the recursion once per iteration; recomputing
     /// in place removes the dominant allocation from every `em_step`. Every
-    /// row of `alpha` and `beta` is laid out afresh from the run's active
-    /// sets and every scale is overwritten, so the results are bitwise
-    /// identical to a fresh [`ForwardBackward::run`] — a property the
-    /// determinism suite pins down.
+    /// row of `alpha` and `beta` is laid out afresh from the run's supports
+    /// and every scale is overwritten, so the results are bitwise identical
+    /// to a fresh [`ForwardBackward::run`] — a property the determinism
+    /// suite pins down.
     pub fn run_into(&mut self, init: &[f64], trans: &Matrix, emis: &Emissions) {
         let s = init.len();
         let t_len = emis.steps();
@@ -245,9 +244,8 @@ impl ForwardBackward {
             offset,
             scales,
             log_likelihood,
-            degenerate,
-            all,
             weighted,
+            ..
         } = self;
         let sup = |t: usize| emis.support(t);
 
@@ -256,39 +254,25 @@ impl ForwardBackward {
         offset.clear();
         offset.push(0);
         scales.clear();
-        degenerate.clear();
         *log_likelihood = 0.0;
         for t in 0..t_len {
             let start = alpha.len();
             alpha.resize(start + sup(t).len(), 0.0);
             let (head, cur) = alpha.split_at_mut(start);
-            let prev = if t == 0 {
-                None
-            } else if degenerate[t - 1] {
-                Some((&head[offset[t - 1]..], &all[..]))
-            } else {
-                Some((&head[offset[t - 1]..], sup(t - 1)))
+            let prev = (t > 0).then(|| (&head[offset[t - 1]..], sup(t - 1)));
+            let Some((inv, ln_sum)) = forward_row(prev, init, trans, sup(t), emis.values(t), cur)
+            else {
+                *log_likelihood = f64::NEG_INFINITY;
+                return;
             };
-            let step = forward_row(prev, init, trans, sup(t), emis.values(t), cur);
-            degenerate.push(step.is_none());
-            match step {
-                Some((inv, ln_sum)) => {
-                    scales.push(inv);
-                    *log_likelihood += ln_sum;
-                }
-                None => {
-                    uniform_row(alpha, start, s);
-                    scales.push(1.0);
-                    *log_likelihood = f64::NEG_INFINITY;
-                }
-            }
+            scales.push(inv);
+            *log_likelihood += ln_sum;
             offset.push(alpha.len());
         }
-        let active = |t: usize| if degenerate[t] { &all[..] } else { sup(t) };
 
         // Backward, scaled by the forward factors so that
         // gamma_t(j) ~ alpha_t(j) * beta_t(j) without further normalisation
-        // beyond a per-row sum. Only the entries of the active set of step t
+        // beyond a per-row sum. Only the entries of the support of step t
         // are computed, each a dot product of its transition row with the
         // weighted beta_{t+1} over the support of step t + 1, ascending, so
         // every entry takes its terms in the dense sum's order. The last row
@@ -299,14 +283,10 @@ impl ForwardBackward {
             let (head, next) = beta.split_at_mut(offset[t + 1]);
             let next_sup = sup(t + 1);
             weighted.clear();
-            weighted.extend(
-                on_support(next, degenerate[t + 1], next_sup)
-                    .zip(emis.values(t + 1))
-                    .map(|(b, &e)| b * e),
-            );
+            weighted.extend(next.iter().zip(emis.values(t + 1)).map(|(b, &e)| b * e));
             let row = &mut head[offset[t]..];
             let scale = scales[t + 1];
-            for (r, &i) in row.iter_mut().zip(active(t)) {
+            for (r, &i) in row.iter_mut().zip(sup(t)) {
                 let arow = trans.row(i as usize);
                 let mut acc = 0.0;
                 for (&j, &w) in next_sup.iter().zip(&*weighted) {
@@ -323,30 +303,17 @@ impl ForwardBackward {
     pub fn log_likelihood_of(init: &[f64], trans: &Matrix, emis: &Emissions) -> f64 {
         let s = init.len();
         check_shapes(s, trans, emis);
-        let all: Vec<u32> = (0..s as u32).collect();
         let mut prev = Vec::with_capacity(s);
         let mut cur = Vec::with_capacity(s);
-        let mut prev_degenerate = false;
         let mut log_likelihood = 0.0;
         for t in 0..emis.steps() {
             let sup = emis.support(t);
             cur.clear();
             cur.resize(sup.len(), 0.0);
-            let prev_row = if t == 0 {
-                None
-            } else if prev_degenerate {
-                Some((&prev[..], &all[..]))
-            } else {
-                Some((&prev[..], emis.support(t - 1)))
-            };
-            let step = forward_row(prev_row, init, trans, sup, emis.values(t), &mut cur);
-            prev_degenerate = step.is_none();
-            match step {
+            let prev_row = (t > 0).then(|| (&prev[..], emis.support(t - 1)));
+            match forward_row(prev_row, init, trans, sup, emis.values(t), &mut cur) {
                 Some((_, ln_sum)) => log_likelihood += ln_sum,
-                None => {
-                    uniform_row(&mut cur, 0, s);
-                    log_likelihood = f64::NEG_INFINITY;
-                }
+                None => return f64::NEG_INFINITY,
             }
             std::mem::swap(&mut prev, &mut cur);
         }
@@ -357,58 +324,39 @@ impl ForwardBackward {
     /// (`S x S`): `counts(i, j) += sum_t xi_t(i, j)`, where
     /// `xi_t(i, j) = P(s_t = i, s_{t+1} = j | obs)` is proportional to
     /// `alpha_t(i) a(i, j) e_{t+1}(j) beta_{t+1}(j)`; `emis` and `trans` are
-    /// the run's.
+    /// the run's. Panics when the run's likelihood is not finite.
     ///
-    /// A term is zero unless `alpha_t(i)` is not (so `i` is in the active
-    /// set of step `t`) and `j` is in the support of step `t + 1`, so a
-    /// step costs `O(|active(t)| · |support(t+1)|)` and no `S x S` table is
+    /// A term is zero unless `alpha_t(i)` is not (so `i` is in the support
+    /// of step `t`) and `j` is in the support of step `t + 1`, so a step
+    /// costs `O(|support(t)| · |support(t+1)|)` and no `S x S` table is
     /// built. The step's norm is summed over those terms first; each term
     /// is then recomputed (same expression, same order) and added divided
-    /// by it. A step whose norm is zero, as the step into an impossible
-    /// observation, adds nothing.
+    /// by it. A step whose norm is zero adds nothing.
     ///
     /// `term(alpha_t(i) a(i, j), e_{t+1}(j), beta_{t+1}(j))` is the
     /// unnormalised term. The caller writes the product so that each model
     /// keeps its own association, and with it its pinned bits.
     pub fn add_transitions(
-        &mut self,
+        &self,
         emis: &Emissions,
         trans: &Matrix,
         counts: &mut Matrix,
         term: impl Fn(f64, f64, f64) -> f64,
     ) {
+        self.assert_posteriors();
         let s = self.all.len();
         assert_eq!((counts.rows(), counts.cols()), (s, s), "counts shape");
-        let ForwardBackward {
-            alpha,
-            beta,
-            offset,
-            degenerate,
-            all,
-            weighted,
-            ..
-        } = self;
-        for t in 1..degenerate.len() {
-            let active = if degenerate[t - 1] {
-                &all[..]
-            } else {
-                emis.support(t - 1)
-            };
-            let a_row = &alpha[offset[t - 1]..offset[t]];
-            let (sup, e) = (emis.support(t), emis.values(t));
-            weighted.clear();
-            weighted.extend(on_support(
-                &beta[offset[t]..offset[t + 1]],
-                degenerate[t],
-                sup,
-            ));
+        for t in 1..self.len() {
+            let active = emis.support(t - 1);
+            let a_row = self.alpha_row(t - 1);
+            let (sup, e, b) = (emis.support(t), emis.values(t), self.beta_row(t));
             let mut norm = 0.0;
             for (&i, &ai) in active.iter().zip(a_row) {
                 if ai == 0.0 {
                     continue;
                 }
                 let arow = trans.row(i as usize);
-                for ((&j, &ej), &bj) in sup.iter().zip(e).zip(&*weighted) {
+                for ((&j, &ej), &bj) in sup.iter().zip(e).zip(b) {
                     norm += term(ai * arow[j as usize], ej, bj);
                 }
             }
@@ -420,7 +368,7 @@ impl ForwardBackward {
                     }
                     let arow = trans.row(i as usize);
                     let crow = counts.row_mut(i as usize);
-                    for ((&j, &ej), &bj) in sup.iter().zip(e).zip(&*weighted) {
+                    for ((&j, &ej), &bj) in sup.iter().zip(e).zip(b) {
                         crow[j as usize] += term(ai * arow[j as usize], ej, bj) * inv;
                     }
                 }
@@ -428,39 +376,16 @@ impl ForwardBackward {
         }
     }
 
-    /// The active set of step `t`: the support of step `t` in `emis` (the
-    /// emissions of the last run), or every state when the step's forward
-    /// row was reset to uniform. `alpha_t` is zero off it and `beta_t` is
-    /// computed only on it.
-    pub fn active<'a>(&'a self, emis: &'a Emissions, t: usize) -> &'a [u32] {
-        if self.degenerate[t] {
-            &self.all
-        } else {
-            emis.support(t)
-        }
-    }
-
-    /// The scaled forward variables of step `t`, aligned with
-    /// [`ForwardBackward::active`]`(t)`.
+    /// The scaled forward variables of step `t`, aligned with the support
+    /// of step `t` in the run's emissions.
     pub fn alpha_row(&self, t: usize) -> &[f64] {
         &self.alpha[self.offset[t]..self.offset[t + 1]]
     }
 
-    /// The scaled backward variables of step `t`, aligned with
-    /// [`ForwardBackward::active`]`(t)`.
+    /// The scaled backward variables of step `t`, aligned with the support
+    /// of step `t` in the run's emissions.
     pub fn beta_row(&self, t: usize) -> &[f64] {
         &self.beta[self.offset[t]..self.offset[t + 1]]
-    }
-
-    /// `beta_t` at the states of the support of step `t`, aligned with
-    /// `emis.support(t)`: the row itself, or gathered by state after a
-    /// degenerate step, whose row holds every state.
-    pub fn beta_on_support<'a>(
-        &'a self,
-        emis: &'a Emissions,
-        t: usize,
-    ) -> impl Iterator<Item = f64> + 'a {
-        on_support(self.beta_row(t), self.degenerate[t], emis.support(t))
     }
 
     /// Smoothed state posterior at step `t` (normalised product of the
@@ -474,14 +399,15 @@ impl ForwardBackward {
 
     /// [`ForwardBackward::gamma`] into a caller-provided buffer of length
     /// `S`, for loops that query the posterior at every step. Returns the
-    /// states it wrote: the active set of step `t`, or every state when the
-    /// product's row sum is zero (as on the step before an impossible
-    /// observation) and the posterior falls back to uniform, as
-    /// [`crate::stochastic::normalize`] does. The posterior is zero off the
-    /// returned states, where `out` is left as it was.
+    /// states it wrote: the support of step `t`, or every state when the
+    /// product's row sum is not positive and finite and the posterior
+    /// falls back to uniform, as [`crate::stochastic::normalize`] does. The
+    /// posterior is zero off the returned states, where `out` is left as it
+    /// was. Panics when the run's likelihood is not finite.
     pub fn gamma_into<'a>(&'a self, emis: &'a Emissions, t: usize, out: &mut [f64]) -> &'a [u32] {
+        self.assert_posteriors();
         assert_eq!(out.len(), self.all.len(), "gamma buffer length");
-        let active = self.active(emis, t);
+        let active = emis.support(t);
         for ((&j, &a), &b) in active.iter().zip(self.alpha_row(t)).zip(self.beta_row(t)) {
             out[j as usize] = a * b;
         }
@@ -493,14 +419,24 @@ impl ForwardBackward {
         }
     }
 
-    /// Number of steps.
+    /// Number of steps the last run recursed over: all of them, or those
+    /// before its first impossible step.
     pub fn len(&self) -> usize {
         self.scales.len()
     }
 
-    /// Is the sequence empty (never true: construction rejects empties).
+    /// Did the last run recurse over no step (true only when its first
+    /// step is impossible: construction rejects empty sequences)?
     pub fn is_empty(&self) -> bool {
         self.scales.is_empty()
+    }
+
+    /// Posteriors exist only for a run that reached its last step.
+    fn assert_posteriors(&self) {
+        assert!(
+            self.log_likelihood.is_finite(),
+            "no posteriors: the last run's likelihood is not finite"
+        );
     }
 }
 
@@ -509,19 +445,6 @@ fn check_shapes(s: usize, trans: &Matrix, emis: &Emissions) {
     assert_eq!(trans.rows(), s);
     assert_eq!(trans.cols(), s);
     assert_eq!(emis.states(), s);
-}
-
-/// A compact row of step `t` read at the states of `sup`, the support of
-/// step `t`: the row is aligned with `sup` unless the step was degenerate,
-/// when it holds every state.
-fn on_support<'a>(
-    row: &'a [f64],
-    degenerate: bool,
-    sup: &'a [u32],
-) -> impl Iterator<Item = f64> + 'a {
-    sup.iter()
-        .enumerate()
-        .map(move |(k, &j)| if degenerate { row[j as usize] } else { row[k] })
 }
 
 /// [`crate::stochastic::normalize`] of a vector that is zero off the
@@ -552,12 +475,11 @@ fn normalize_on(v: &mut [f64], idx: &[u32]) -> bool {
 /// step `t`, with likelihoods `e`) and holding zeros:
 /// `alpha_0(j) = init(j) e_0(j)` when `prev` is `None`, else
 /// `alpha_t(j) = sum_i alpha_{t-1}(i) a(i,j) * e_t(j)`, then normalised.
-/// `prev` carries the previous row and its active set, aligned with it,
-/// so the cost is `O(|active(t-1)| · |support(t)|)`.
+/// `prev` carries the previous row and its support, aligned with it, so
+/// the cost is `O(|support(t-1)| · |support(t)|)`.
 ///
-/// Returns the scale factor and the log of the row sum, or `None` for a
-/// degenerate step — no state explains the observation — whose row the
-/// caller replaces with [`uniform_row`].
+/// Returns the scale factor and the log of the row sum, or `None` when no
+/// state explains the observation: the row sum is not positive and finite.
 fn forward_row(
     prev: Option<(&[f64], &[u32])>,
     init: &[f64],
@@ -597,13 +519,6 @@ fn forward_row(
     } else {
         None
     }
-}
-
-/// Replace the row of `rows` from `start` on with the uniform distribution
-/// over all `s` states: a degenerate step's forward row.
-fn uniform_row(rows: &mut Vec<f64>, start: usize, s: usize) {
-    rows.truncate(start);
-    rows.resize(start + s, 1.0 / s as f64);
 }
 
 #[cfg(test)]
@@ -695,7 +610,7 @@ mod tests {
 
     /// [`ForwardBackward::add_transitions`] over a fresh `S x S` table.
     fn transitions(
-        fb: &mut ForwardBackward,
+        fb: &ForwardBackward,
         emis: &Emissions,
         trans: &Matrix,
         term: fn(f64, f64, f64) -> f64,
@@ -764,35 +679,60 @@ mod tests {
         let (init, trans, emis) = toy();
         let rows = csr(&emis);
         let want = brute_force_transitions(&init, &trans, &emis);
-        let mut fb = ForwardBackward::run(&init, &trans, &rows);
+        let fb = ForwardBackward::run(&init, &trans, &rows);
         for term in TERMS {
-            assert_close(&transitions(&mut fb, &rows, &trans, term), &want);
+            assert_close(&transitions(&fb, &rows, &trans, term), &want);
         }
     }
 
+    /// Every row, scale and the likelihood of a run, as bits.
+    fn bits(fb: &ForwardBackward) -> Vec<u64> {
+        let rows = (0..fb.len()).flat_map(|t| fb.alpha_row(t).iter().chain(fb.beta_row(t)));
+        rows.chain(&fb.scales)
+            .chain([&fb.log_likelihood])
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
     /// Step 1 is impossible from step 0 (state 0 cannot leave and only
-    /// state 1 emits), so its forward row is reset to uniform over every
-    /// state while its support is state 1 alone: the step into it adds
-    /// nothing, and reading its beta row on that support gathers by state.
-    /// From step 1 on the chain is the one that starts from uniform with
-    /// step 1's emissions dropped.
+    /// state 1 emits), so the run stops there with likelihood `-inf`, as
+    /// does the forward pass alone. A shorter finite run into the same
+    /// buffers afterwards lays every row out afresh.
     #[test]
-    fn transitions_restart_after_an_impossible_observation() {
+    fn an_impossible_step_ends_the_run() {
         let init = vec![0.6, 0.4];
         let trans = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.3, 0.7]);
         let emis = Matrix::from_vec(4, 2, vec![0.9, 0.0, 0.0, 0.8, 0.9, 0.2, 0.1, 0.8]);
         let rows = csr(&emis);
-        let mut fb = ForwardBackward::run(&init, &trans, &rows);
+        let mut fb = ForwardBackward::empty();
+        fb.run_into(&init, &trans, &rows);
         assert_eq!(fb.log_likelihood, f64::NEG_INFINITY);
         assert_eq!(
-            (fb.active(&rows, 1), rows.support(1)),
-            (&[0, 1][..], &[1][..])
+            ForwardBackward::log_likelihood_of(&init, &trans, &rows),
+            f64::NEG_INFINITY
         );
-        let tail = Matrix::from_vec(3, 2, vec![1.0, 1.0, 0.9, 0.2, 0.1, 0.8]);
-        let want = brute_force_transitions(&[0.5, 0.5], &trans, &tail);
+
+        let (init, trans, emis) = toy();
+        let rows = csr(&emis);
+        fb.run_into(&init, &trans, &rows);
+        let fresh = ForwardBackward::run(&init, &trans, &rows);
+        assert_eq!(bits(&fb), bits(&fresh));
         for term in TERMS {
-            assert_close(&transitions(&mut fb, &rows, &trans, term), &want);
+            assert_eq!(
+                transitions(&fb, &rows, &trans, term).as_slice(),
+                transitions(&fresh, &rows, &trans, term).as_slice()
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no posteriors")]
+    fn an_impossible_run_has_no_posteriors() {
+        let init = vec![1.0, 0.0];
+        let trans = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
+        let emis = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
+        let rows = csr(&emis);
+        ForwardBackward::run(&init, &trans, &rows).gamma(&rows, 0);
     }
 
     #[test]

@@ -1,23 +1,35 @@
 //! An EM trajectory allocates nothing per E-step, for either model: its
 //! three iterates, the step's scratch and the forward–backward buffers
 //! are allocated once, so a trajectory twice as long makes exactly as
-//! many allocations. Counted by a global allocator, so this file holds a
-//! single test.
+//! many allocations. A global allocator counts each thread's allocations
+//! on that thread, and the fits run on the test's own thread
+//! (`parallelism: Some(1)`), so whatever else the harness does is not
+//! charged to them.
 
 use dominant_congested_links::probnum::Obs;
 use dominant_congested_links::{hmm, mmhd};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made on this thread. `const`-initialised and without a
+    /// destructor, so counting allocates nothing.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation on the calling thread. A thread being torn down
+/// may no longer reach its counter, and goes uncounted.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -26,7 +38,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,11 +46,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by `fit(max_iters)`, which must spend its cap.
+/// Allocations made on this thread by `fit(max_iters)`, which must spend
+/// its cap.
 fn allocations(max_iters: usize, fit: impl Fn(usize) -> usize) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let iterations = fit(max_iters);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     assert_eq!(iterations, max_iters);
     after - before
 }
@@ -47,6 +60,9 @@ fn allocations(max_iters: usize, fit: impl Fn(usize) -> usize) -> usize {
 /// plain steps).
 fn assert_flat(what: &str, fit: impl Fn(usize) -> usize) {
     let short = allocations(30, &fit);
+    // A fit allocates its iterates and buffers once; none counted means
+    // it ran on another thread.
+    assert!(short > 0, "{what}: nothing counted on this thread");
     for long in [60, 61] {
         assert_eq!(
             allocations(long, &fit),
